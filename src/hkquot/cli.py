@@ -55,7 +55,6 @@ class RunConfig:
     tol: float = 1e-10
     bound: Optional[int] = None
     seed: int = 0
-    threads: int = 1
     fmt: str = "json"
     trace: bool = False
 
@@ -270,7 +269,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--tol", type=float, default=1e-10)
     parser.add_argument("--bound", type=int, default=None)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--threads", type=int, default=1)
     parser.add_argument("--format", choices=("json", "table", "csv"), default="json")
     parser.add_argument("--trace", action="store_true")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -302,14 +300,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.threads < 1:
-        parser.error("--threads must be >= 1")
     cfg = RunConfig(
         mode=args.mode,
         tol=args.tol,
         bound=args.bound,
         seed=args.seed,
-        threads=args.threads,
         fmt=args.format,
         trace=args.trace,
     )

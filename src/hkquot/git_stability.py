@@ -1,17 +1,25 @@
 """Exact GIT stability for torus weight systems.
 
-Everything is decided by rational linear programming on the combinatorial
-data (weights, character, coordinate supports):
+Everything is decided by exact linear algebra and rational linear
+programming on the combinatorial data (weights, character, coordinate
+supports); a verdict costs at most two LPs:
 
-* a point v is semistable iff theta lies in Cone{beta^i : i in supp(v)}
-  (Farkas dual of the Hilbert-Mumford inequality);
-* it is stable iff additionally no nonzero xi satisfies beta^i(xi) >= 0 on
-  the support with <theta, xi> <= 0;
+* a point v is semistable iff theta lies in Cone{beta^i : i in S},
+  S = supp(v) (Farkas dual of the Hilbert-Mumford inequality); one LP
+  decides this, and when it fails a second LP yields the certificate, the
+  vertex minimizing <theta, xi> over {B_S xi >= 0} cut with the unit box;
 * it is polystable iff theta lies in the relative interior of that cone,
   equivalently iff the Kempf-Ness functional attains its minimum on the
-  orbit (Stiemke duality); the verdict records this as an extra flag;
-* destabilizing certificates are integral cocharacters extracted from LP
-  vertices, so they can be re-checked by exact mu-weight evaluation.
+  orbit (Stiemke duality); the membership LP decides this too, and the
+  verdict records it as an extra flag;
+* it is stable iff it is polystable and B_S has rank k (theta in the
+  interior of the cone), read off one exact kernel of B_S.  Otherwise it
+  is strictly semistable, with witness xi != 0, B_S xi >= 0 and
+  <theta, xi> = 0: a kernel vector of B_S when the rank drops, else the
+  vertex of one LP maximizing sum_{i in S} beta^i(xi) over
+  {B_S xi >= 0, <theta, xi> <= 0} cut with the unit box;
+* certificates and witnesses are primitive integral cocharacters, so they
+  can be re-checked by exact mu-weight evaluation.
 
 Unstable-locus enumeration walks sign chambers of the hyperplane
 arrangement {beta^i(xi) = 0} inside the open half-space <theta, xi> < 0;
@@ -24,11 +32,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import inf
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 from .errors import BoundExceededError, DimensionMismatchError
-from .exactlin import integer_primitive, lp_feasible, lp_maximize, smith_invariant_factors
-from .rep_core import AmbientPoint, Cocharacter, CotangentPoint, WeightSystem, support
+from .exactlin import (
+    integer_primitive,
+    kernel_basis,
+    lp_feasible,
+    lp_maximize,
+    smith_invariant_factors,
+)
+from .rep_core import AmbientPoint, Cocharacter, WeightSystem, support
 
 STABLE = "stable"
 STRICTLY_SEMISTABLE = "strictly-semistable"
@@ -181,54 +195,49 @@ def _cone_membership_lp(ws: WeightSystem, idx: list[int]):
     return status, x[:m], value
 
 
-def _unstable_certificate_lp(ws: WeightSystem, idx: list[int]) -> Cocharacter:
-    """Vertex minimizing <theta, xi> over {B_S xi >= 0} cap the unit box."""
+def _cone_box_rows(ws: WeightSystem, idx: list[int], extra=(), nv: Optional[int] = None):
+    """Inequalities (A_ub, b_ub): -beta^i(xi) <= 0 for i in idx, the
+    homogeneous rows `extra` (<= 0), then the unit box |xi_j| <= 1.
+
+    Columns past the first k (nv > k) are zero in the cone and box rows.
+    """
     k = ws.rank
-    A_ub = []
-    b_ub = []
-    for i in idx:
-        A_ub.append([-Fraction(ws.weights[i][a]) for a in range(k)])
-        b_ub.append(_Z)
+    nv = k if nv is None else nv
+    pad = [_Z] * (nv - k)
+    A_ub = [[-Fraction(ws.weights[i][a]) for a in range(k)] + pad for i in idx]
+    A_ub.extend(extra)
+    b_ub = [_Z] * len(A_ub)
     for j in range(k):
         for sgn in (1, -1):
-            row = [_Z] * k
+            row = [_Z] * nv
             row[j] = Fraction(sgn)
             A_ub.append(row)
             b_ub.append(_I)
+    return A_ub, b_ub
+
+
+def _unstable_certificate_lp(ws: WeightSystem, idx: list[int]) -> Cocharacter:
+    """Vertex minimizing <theta, xi> over {B_S xi >= 0} cap the unit box."""
+    A_ub, b_ub = _cone_box_rows(ws, idx)
     status, x, value = lp_maximize([-t for t in ws.theta], A_ub, b_ub)
     if status != "optimal" or value <= 0:
         raise AssertionError("certificate LP must have negative theta optimum")
     return Cocharacter.exact_from(integer_primitive(x))
 
 
-def _stable_witness_lp(ws: WeightSystem, idx: list[int]) -> Optional[Cocharacter]:
-    """A nonzero xi with B_S xi >= 0 and <theta, xi> <= 0, or None.
+def _boundary_witness_lp(ws: WeightSystem, idx: list[int]) -> list[Fraction]:
+    """A nonzero xi with B_S xi >= 0 and <theta, xi> <= 0 for full-rank B_S.
 
-    Maximizes each +-xi_j over the cone cut with the unit sup-norm box;
-    the polytope is {0} exactly when the point is stable.
+    Maximizes sum_{i in S} beta^i(xi) over that cone cut with the unit box;
+    when B_S has rank k the optimum is positive exactly when theta lies on
+    the boundary of the support cone, and then the vertex is nonzero.
     """
-    k = ws.rank
-    A_ub = []
-    b_ub = []
-    for i in idx:
-        A_ub.append([-Fraction(ws.weights[i][a]) for a in range(k)])
-        b_ub.append(_Z)
-    A_ub.append(list(ws.theta))
-    b_ub.append(_Z)
-    for j in range(k):
-        for sgn in (1, -1):
-            row = [_Z] * k
-            row[j] = Fraction(sgn)
-            A_ub.append(row)
-            b_ub.append(_I)
-    for j in range(k):
-        for sgn in (1, -1):
-            c = [_Z] * k
-            c[j] = Fraction(sgn)
-            status, x, value = lp_maximize(c, A_ub, b_ub)
-            if status == "optimal" and value > 0:
-                return Cocharacter.exact_from(integer_primitive(x))
-    return None
+    A_ub, b_ub = _cone_box_rows(ws, idx, extra=[list(ws.theta)])
+    c = [sum((Fraction(ws.weights[i][a]) for i in idx), _Z) for a in range(ws.rank)]
+    status, x, value = lp_maximize(c, A_ub, b_ub)
+    if status != "optimal" or value <= 0:
+        raise AssertionError("boundary witness LP must have a positive optimum")
+    return x
 
 
 def classify_support(ws: WeightSystem, S: Iterable[int]) -> StabilityVerdict:
@@ -237,21 +246,35 @@ def classify_support(ws: WeightSystem, S: Iterable[int]) -> StabilityVerdict:
     for i in idx:
         if not 0 <= i < ws.n:
             raise DimensionMismatchError(f"support index {i} out of range")
-    return _classify_support_cached(ws, frozenset(idx))
+    return _classify_support_cached(_shared(ws), tuple(idx))
+
+
+@lru_cache(maxsize=1 << 10)
+def _shared(ws: WeightSystem) -> WeightSystem:
+    # the first instance equal to ws: verdict-cache keys of one system then
+    # hold a single copy of its weights, not one per caller
+    return ws
 
 
 @lru_cache(maxsize=1 << 16)
-def _classify_support_cached(ws: WeightSystem, S: frozenset) -> StabilityVerdict:
+def _classify_support_cached(ws: WeightSystem, S: tuple[int, ...]) -> StabilityVerdict:
     # the verdict is immutable and depends only on (ws, S), so sharing a
-    # cached instance across callers is sound
-    idx = sorted(S)
+    # cached instance across callers is sound; S is the sorted support
+    idx = list(S)
     status, _, topt = _cone_membership_lp(ws, idx)
     if status != "optimal":
         return StabilityVerdict(UNSTABLE, _unstable_certificate_lp(ws, idx), polystable=False)
-    witness = _stable_witness_lp(ws, idx)
-    if witness is None:
+    # theta = sum s_i beta^i with s >= 0, so kernel vectors of B_S pair to
+    # zero with theta; with s > 0 (polystable), B_S xi >= 0 and
+    # <theta, xi> <= 0 force B_S xi = 0, which for rank k means xi = 0
+    polystable = topt > 0
+    kern = kernel_basis([ws.weights[i] for i in idx], ws.rank)
+    if polystable and not kern:
         return StabilityVerdict(STABLE, None, polystable=True)
-    return StabilityVerdict(STRICTLY_SEMISTABLE, witness, polystable=topt > 0)
+    xi = kern[0] if kern else _boundary_witness_lp(ws, idx)
+    return StabilityVerdict(
+        STRICTLY_SEMISTABLE, Cocharacter.exact_from(integer_primitive(xi)), polystable
+    )
 
 
 def classify_point(ws: WeightSystem, v: AmbientPoint) -> StabilityVerdict:
@@ -307,30 +330,19 @@ def unstable_maximal_supports(
 
     def realized(assign: list[int]) -> bool:
         # max t s.t. sign constraints, <theta, xi> <= -t, |xi| <= 1, t <= 1
-        nv = k + 1
-        A_ub: list[list[Fraction]] = []
-        b_ub: list[Fraction] = []
+        signed: list[list[Fraction]] = []
         A_eq: list[list[Fraction]] = []
-        b_eq: list[Fraction] = []
         for q, sgn in zip(dirs, assign):
             if sgn == 0:
                 A_eq.append([Fraction(v) for v in q] + [_Z])
-                b_eq.append(_Z)
             else:
-                A_ub.append([-Fraction(sgn * v) for v in q] + [_I])
-                b_ub.append(_Z)
-        A_ub.append([Fraction(t) for t in ws.theta] + [_I])
-        b_ub.append(_Z)
-        for j in range(k):
-            for sgn in (1, -1):
-                row = [_Z] * nv
-                row[j] = Fraction(sgn)
-                A_ub.append(row)
-                b_ub.append(_I)
+                signed.append([-Fraction(sgn * v) for v in q] + [_I])
+        signed.append([Fraction(t) for t in ws.theta] + [_I])
+        A_ub, b_ub = _cone_box_rows(ws, [], extra=signed, nv=k + 1)
         trow = [_Z] * k + [_I]
         A_ub.append(trow)
         b_ub.append(_I)
-        status, _, value = lp_maximize(trow, A_ub, b_ub, A_eq, b_eq)
+        status, _, value = lp_maximize(trow, A_ub, b_ub, A_eq, [_Z] * len(A_eq))
         return status == "optimal" and value > 0
 
     found: set[frozenset] = set()

@@ -179,7 +179,8 @@ def horizontal_frame(ws: WeightSystem, p: CotangentPoint, tol: float = MOMENT_TO
         )
     horizontal = np.array(horizontal)
     cross = float(np.max(np.abs(gauge @ horizontal.T))) if len(horizontal) else 0.0
-    assert cross < 1e-10, f"gauge-horizontal cross term {cross:.3e}"
+    if cross >= 1e-10:
+        raise PreconditionError(f"gauge-horizontal cross term {cross:.3e} >= 1e-10")
     return ReducedFrame(
         ws=ws,
         base_point=q,

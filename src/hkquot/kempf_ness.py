@@ -43,8 +43,6 @@ DIVERGED = "diverged"
 DAMPING = 1e-10
 #: Armijo sufficient-decrease constant.
 ARMIJO_C = 0.25
-#: Norm threshold that triggers the exact fallback check.
-XI_ESCAPE = 50.0
 
 
 @dataclass(frozen=True)
@@ -140,7 +138,6 @@ def solve_kahler(
     Q = _rowspace_basis(ws, S)
     eta = np.zeros(Q.shape[1])
     xi = Q @ eta
-    escape_checked = False
     for it in range(maxiter):
         grad_full = kn_gradient(ws, vnum, xi)
         if float(np.linalg.norm(grad_full)) < tol:
@@ -175,14 +172,6 @@ def solve_kahler(
             alpha *= 0.5
         eta = eta + alpha * step
         xi = Q @ eta
-        if not escape_checked and float(np.linalg.norm(xi)) > XI_ESCAPE:
-            # Exact fallback, never a verdict by itself: the up-front
-            # classification already guarantees a minimizer exists, so a
-            # large excursion only re-triggers the exact check.
-            escape_checked = True
-            recheck = classify_point(ws, v)
-            if recheck.status == UNSTABLE:
-                return KNOutcome(DIVERGED, certificate=recheck.certificate, iterations=it)
     raise UndecidedError(f"Newton did not reach ||mu|| < {tol} within {maxiter} iterations")
 
 
@@ -225,5 +214,6 @@ def instability_certificate(ws: WeightSystem, v: AmbientPoint) -> Cocharacter:
     verdict = classify_point(ws, v)
     if verdict.status == STABLE:
         raise PreconditionError("stable points admit no destabilizing cocharacter")
-    assert verdict.certificate is not None
+    if verdict.certificate is None:
+        raise UndecidedError(f"{verdict.status} verdict carries no certificate")
     return verdict.certificate

@@ -30,7 +30,7 @@ from .rep_core import (
     WeightSystem,
     exact_abs2,
 )
-from .scalars import QC
+from .scalars import QC, format_rational
 
 KAHLER = "kahler"
 HOLOMORPHIC = "holomorphic"
@@ -65,18 +65,14 @@ class MomentValue:
     def to_json(self) -> dict:
         def enc(v):
             if isinstance(v, QC):
-                return [_enc_frac(v.re), _enc_frac(v.im)]
+                return [format_rational(v.re), format_rational(v.im)]
             if isinstance(v, Fraction):
-                return _enc_frac(v)
+                return format_rational(v)
             if isinstance(v, complex):
                 return [v.real, v.imag]
             return float(v)
 
         return {"kind": self.kind, "value": [enc(v) for v in self.value]}
-
-
-def _enc_frac(q: Fraction):
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
 def mu(ws: WeightSystem, v: AmbientPoint) -> MomentValue:

@@ -17,7 +17,6 @@ combinatorics, numpy complex arrays for flows and metrics.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
@@ -26,9 +25,6 @@ import numpy as np
 
 from .errors import DimensionMismatchError
 from .scalars import QC, PhasedComplex, format_qc, format_rational, parse_qc, parse_rational
-
-ExactCoords = tuple
-NumericCoords = np.ndarray
 
 #: absolute value below which a numeric coordinate counts as zero
 SUPPORT_TOL = 1e-12
@@ -420,8 +416,3 @@ def point_to_json(p: AmbientPoint | CotangentPoint):
     if isinstance(p, CotangentPoint):
         return {"x": [one(c) for c in p.x], "z": [one(c) for c in p.z]}
     return [one(c) for c in p.coords]
-
-
-def infinity() -> float:
-    """The +infinity used for mu-weights."""
-    return math.inf

@@ -116,10 +116,6 @@ class QC:
         return complex(self.re) + 1j * complex(self.im)
 
 
-QC_ZERO = QC(Fraction(0), Fraction(0))
-QC_ONE = QC(Fraction(1), Fraction(0))
-
-
 def parse_qc(value) -> QC:
     """Parse a JSON complex scalar: ``[re, im]`` or a bare rational."""
     if isinstance(value, (list, tuple)):

@@ -55,7 +55,6 @@ from .scalars import PC_ONE, PC_ZERO, PhasedComplex, format_rational
 
 CERTIFIED = "certified"
 CANDIDATE = "candidate"
-REFUTED = "refuted"
 
 #: enumeration cap on n for candidate strata (4^n support pairs)
 STRATA_BOUND = 12

@@ -23,6 +23,17 @@ def _box_lattice(k: int, box: int) -> np.ndarray:
     return pts[np.any(pts != 0, axis=1)]
 
 
+def _box_scan(ws: WeightSystem, support, box: int):
+    """Box lattice points, their pairings with the support weights, and the
+    theta pairings cleared to a common denominator (exact integers)."""
+    lattice = _box_lattice(ws.rank, box)
+    bmat = np.array([ws.weights[i] for i in sorted(support)], dtype=np.int64)
+    bvals = lattice @ bmat.reshape(-1, ws.rank).T
+    den = np.lcm.reduce([t.denominator for t in ws.theta])
+    tnum = np.array([int(t * den) for t in ws.theta], dtype=np.int64)
+    return lattice, bvals, lattice @ tnum
+
+
 def box_classify_support(ws: WeightSystem, support, box: int = BOX):
     """Brute-force Hilbert-Mumford search over the integer box.
 
@@ -30,17 +41,8 @@ def box_classify_support(ws: WeightSystem, support, box: int = BOX):
     (None when stable).  The pairing signs are computed in exact integer
     arithmetic: theta is cleared to a common denominator first.
     """
-    idx = sorted(support)
-    lattice = _box_lattice(ws.rank, box)
-    if idx:
-        bmat = np.array([ws.weights[i] for i in idx], dtype=np.int64)
-        cone = np.all(lattice @ bmat.T >= 0, axis=1)
-    else:
-        cone = np.ones(len(lattice), dtype=bool)
-    den = np.lcm.reduce([t.denominator for t in ws.theta])
-    tnum = np.array([int(t * den) for t in ws.theta], dtype=np.int64)
-    tvals = lattice @ tnum
-    hits = cone & (tvals <= 0)
+    lattice, bvals, tvals = _box_scan(ws, support, box)
+    hits = np.all(bvals >= 0, axis=1) & (tvals <= 0)
     if not np.any(hits):
         return "stable", None
     at = int(np.argmin(np.where(hits, tvals, np.iinfo(np.int64).max)))
@@ -48,6 +50,18 @@ def box_classify_support(ws: WeightSystem, support, box: int = BOX):
     if tvals[at] < 0:
         return "unstable", xi
     return "strictly-semistable", xi
+
+
+def box_polystable_support(ws: WeightSystem, support, box: int = BOX) -> bool:
+    """Brute-force relative-interior test over the integer box.
+
+    theta is in the relative interior of Cone{beta^i : i in S} iff no xi has
+    <theta, xi> < 0 <= B_S xi (semistable) and every xi with B_S xi >= 0
+    and <theta, xi> <= 0 has B_S xi = 0 (no proper face holds theta).
+    """
+    _, bvals, tvals = _box_scan(ws, support, box)
+    hits = np.all(bvals >= 0, axis=1) & (tvals <= 0)
+    return not np.any(hits & ((tvals < 0) | np.any(bvals != 0, axis=1)))
 
 
 def j_flow_value(ws: WeightSystem, p, xi, t: float) -> float:

@@ -157,7 +157,7 @@ def test_parse_errors_exit_2(capsys):
     capsys.readouterr()
     assert exc.value.code == 2
     with pytest.raises(SystemExit) as exc:
-        main(["--threads", "0", "analyze", DIAG2])
+        main(["--format", "xml", "analyze", DIAG2])
     capsys.readouterr()
     assert exc.value.code == 2
 

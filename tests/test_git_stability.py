@@ -2,6 +2,7 @@
 
 import math
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -25,11 +26,44 @@ from hkquot import (
     support,
     unstable_maximal_supports,
 )
+from hkquot import git_stability
 from hkquot.git_stability import STABLE, STRICTLY_SEMISTABLE, UNSTABLE
 
-from oracles import box_classify_support, random_ambient, random_weight_system
+from oracles import (
+    box_classify_support,
+    box_polystable_support,
+    random_ambient,
+    random_weight_system,
+)
 
 F = Fraction
+
+#: hand-made degenerate systems; together with S = {} and rank-deficient
+#: supports they reach every branch of the stability decision
+DEGENERATE = (
+    # a zero weight
+    WeightSystem(2, ((0, 0), (1, 0), (0, 1), (-1, -1)), (F(1), F(1, 2))),
+    # repeated and opposite lines
+    WeightSystem(2, ((1, 2), (2, 4), (-1, -2), (1, 0)), (F(1), F(1))),
+    # theta = 0
+    WeightSystem(2, ((1, 0), (-1, 0), (0, 1), (1, 1)), (F(0), F(0))),
+    # only zero weights and theta = 0: every support is semistable
+    WeightSystem(1, ((0,), (0,)), (F(0),)),
+    # every support rank-deficient
+    WeightSystem(3, ((1, 0, 0), (0, 1, 0), (1, 1, 0), (-1, 0, 0)), (F(1), F(1), F(0))),
+    # theta on a boundary ray of full-rank cones
+    WeightSystem(2, ((1, 0), (0, 1), (1, 1)), (F(1), F(0))),
+)
+
+
+def all_supports(ws: WeightSystem):
+    for r in range(ws.n + 1):
+        for S in combinations(range(ws.n), r):
+            yield frozenset(S)
+
+
+def indicator(ws: WeightSystem, S) -> AmbientPoint:
+    return AmbientPoint.numeric([1.0 if i in S else 0.0 for i in range(ws.n)])
 
 
 def test_mu_weight_cases(hirzebruch1):
@@ -145,6 +179,24 @@ def test_kahler_strata(hirzebruch1):
     assert kahler_strata(none) == []
 
 
+def check_against_box_oracle(ws: WeightSystem, v: AmbientPoint) -> None:
+    verdict = classify_point(ws, v)
+    want, xi = box_classify_support(ws, support(v))
+    assert verdict.status == want
+    assert verdict.polystable == box_polystable_support(ws, support(v))
+    if verdict.status == STABLE:
+        assert verdict.certificate is None
+        return
+    cert = verdict.certificate
+    assert any(u != 0 for u in cert.xi)
+    w = mu_weight(ws, v, cert)
+    assert w <= 0
+    if verdict.status == UNSTABLE:
+        assert w < 0
+    # and the box witness is confirmed by the package's mu-weight
+    assert mu_weight(ws, v, xi) <= 0
+
+
 def test_verdicts_match_box_oracle():
     # The guaranteed direction is one-sided (a box witness forces a non-stable
     # verdict; a stable verdict forbids box witnesses).  For weights this small
@@ -153,17 +205,40 @@ def test_verdicts_match_box_oracle():
     rng = np.random.default_rng(42)
     for _ in range(40):
         ws = random_weight_system(rng)
-        v = random_ambient(rng, ws.n)
-        verdict = classify_point(ws, v)
-        want, xi = box_classify_support(ws, support(v))
-        assert verdict.status == want
-        if verdict.status != STABLE:
-            w = mu_weight(ws, v, verdict.certificate)
-            assert w <= 0
-            if verdict.status == UNSTABLE:
-                assert w < 0
-            # and the box witness is confirmed by the package's mu-weight
-            assert mu_weight(ws, v, xi) <= 0
+        check_against_box_oracle(ws, random_ambient(rng, ws.n))
+    # every support, including S = {}, of further draws and degenerate systems
+    rng = np.random.default_rng(7)
+    for ws in [random_weight_system(rng, nmax=5) for _ in range(15)] + list(DEGENERATE):
+        for S in all_supports(ws):
+            check_against_box_oracle(ws, indicator(ws, S))
+
+
+def test_cold_verdict_lp_budget(monkeypatch):
+    # stable: the membership LP alone; unstable: membership plus certificate;
+    # strictly semistable: one more LP only when B_S has full rank
+    real = git_stability.lp_maximize
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(git_stability, "lp_maximize", counting)
+    rng = np.random.default_rng(11)
+    seen = set()
+    for ws in [random_weight_system(rng, nmax=5) for _ in range(10)] + list(DEGENERATE):
+        for S in all_supports(ws):
+            git_stability._classify_support_cached.cache_clear()
+            calls.clear()
+            verdict = classify_support(ws, S)
+            rows = np.array([ws.weights[i] for i in sorted(S)], dtype=float)
+            full_rank = bool(S) and np.linalg.matrix_rank(rows) == ws.rank
+            want = {STABLE: 1, UNSTABLE: 2, STRICTLY_SEMISTABLE: 2 if full_rank else 1}
+            assert len(calls) == want[verdict.status]
+            seen.add((verdict.status, full_rank))
+    git_stability._classify_support_cached.cache_clear()
+    assert seen >= {(STABLE, True), (UNSTABLE, True), (UNSTABLE, False),
+                    (STRICTLY_SEMISTABLE, True), (STRICTLY_SEMISTABLE, False)}
 
 
 def test_unstable_supports_are_downward_closed():
