@@ -151,23 +151,6 @@ def _pivot_to_optimum(tab, basis, cost, allowed: int) -> bool:
                 cost[j] -= f * tab[leave][j]
 
 
-def lp_feasible(
-    A_ub: Optional[Sequence[Sequence]] = None,
-    b_ub: Optional[Sequence] = None,
-    A_eq: Optional[Sequence[Sequence]] = None,
-    b_eq: Optional[Sequence] = None,
-    nvars: Optional[int] = None,
-) -> tuple[bool, Optional[list[Fraction]]]:
-    """Exact feasibility check for the same constraint format as lp_maximize."""
-    if nvars is None:
-        source = (A_ub or []) or (A_eq or [])
-        if not source:
-            return True, []
-        nvars = len(source[0])
-    status, x, _ = lp_maximize([_ZERO] * nvars, A_ub, b_ub, A_eq, b_eq)
-    return status == "optimal", x
-
-
 def rref(rows: Sequence[Sequence]) -> tuple[list[list[Fraction]], list[int]]:
     """Reduced row echelon form over the rationals; returns (R, pivot columns)."""
     mat = _frac_rows(rows)

@@ -2,11 +2,18 @@
 
 Everything is decided by exact linear algebra and rational linear
 programming on the combinatorial data (weights, character, coordinate
-supports); a verdict costs at most two LPs:
+supports).  Whether a support S is semistable, theta in
+Cone{beta^i : i in S}, is pure linear algebra: by Caratheodory it holds
+iff S contains a positive basis, a set T of at most k independent
+weights with theta a strictly positive combination of beta_T, found by
+one exact rref per candidate T.  `semistable_support`,
+`semistable_supports` (the up-closure of the bases) and `quotient_compact`
+use no LP.  A verdict with certificate costs at most two LPs:
 
 * a point v is semistable iff theta lies in Cone{beta^i : i in S},
-  S = supp(v) (Farkas dual of the Hilbert-Mumford inequality); one LP
-  decides this, and when it fails a second LP yields the certificate, the
+  S = supp(v) (Farkas dual of the Hilbert-Mumford inequality); the
+  classifier decides this by one LP, because the same LP gives the
+  polystable flag, and when it fails a second LP yields the certificate, the
   vertex minimizing <theta, xi> over {B_S xi >= 0} cut with the unit box;
 * it is polystable iff theta lies in the relative interior of that cone,
   equivalently iff the Kempf-Ness functional attains its minimum on the
@@ -23,7 +30,7 @@ supports); a verdict costs at most two LPs:
 
 Unstable-locus enumeration walks sign chambers of the hyperplane
 arrangement {beta^i(xi) = 0} inside the open half-space <theta, xi> < 0;
-each chamber contributes the maximal support it destabilizes.
+each realized sign cell contributes the support S(xi) it destabilizes.
 """
 
 from __future__ import annotations
@@ -31,15 +38,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 from math import inf
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import BoundExceededError, DimensionMismatchError
 from .exactlin import (
     integer_primitive,
     kernel_basis,
-    lp_feasible,
     lp_maximize,
+    rref,
     smith_invariant_factors,
 )
 from .rep_core import AmbientPoint, Cocharacter, WeightSystem, support
@@ -144,17 +152,27 @@ def mu_weight(ws: WeightSystem, v: AmbientPoint, xi) -> Fraction | float:
     return Fraction(ws.theta_pairing(exact_xi))
 
 
+def _positive_bases(ws: WeightSystem, idx: Sequence[int]) -> Iterator[tuple[int, ...]]:
+    """Each T within idx, |T| <= k, with beta_T linearly independent and
+    theta = sum_{i in T} c_i beta^i for some c > 0; T = () when theta = 0.
+
+    By Caratheodory, theta lies in Cone{beta^i : i in S} iff S contains
+    such a T.  The rref of [beta_T | theta] has pivots exactly 0..r-1 iff
+    beta_T is independent and theta lies in its span, and its last column
+    then holds the unique coefficients c.
+    """
+    for r in range(min(ws.rank, len(idx)) + 1):
+        for T in combinations(idx, r):
+            red, pivots = rref(
+                [[ws.weights[i][a] for i in T] + [ws.theta[a]] for a in range(ws.rank)]
+            )
+            if pivots == list(range(r)) and all(red[j][r] > 0 for j in range(r)):
+                yield T
+
+
 def semistable_support(ws: WeightSystem, S: Iterable[int]) -> bool:
-    """True iff theta lies in Cone{beta^i : i in S} (exact LP feasibility)."""
-    idx = sorted(set(S))
-    feasible, _ = lp_feasible(
-        A_ub=[[-_I if j == i else _Z for j in range(len(idx))] for i in range(len(idx))],
-        b_ub=[_Z] * len(idx),
-        A_eq=[[Fraction(ws.weights[i][a]) for i in idx] for a in range(ws.rank)],
-        b_eq=list(ws.theta),
-        nvars=len(idx),
-    )
-    return feasible
+    """True iff theta lies in Cone{beta^i : i in S}: S holds a positive basis."""
+    return next(_positive_bases(ws, sorted(set(S))), None) is not None
 
 
 def polystable_support(ws: WeightSystem, S: Iterable[int]) -> bool:
@@ -297,15 +315,17 @@ def inclusion_maximal(sets: Iterable[frozenset]) -> list[frozenset]:
 def unstable_maximal_supports(
     ws: WeightSystem, bound: int = DEFAULT_BOUND
 ) -> list[frozenset]:
-    """Maximal destabilized supports, one per destabilizing sign chamber.
+    """Destabilized supports S(xi), one per destabilizing sign cell.
 
     Enumerates the sign vectors of the arrangement {beta^i(xi) = 0} that
     are realized inside {<theta, xi> < 0} and collects, for each, the set
     S(xi) = {i : beta^i(xi) >= 0}.  Every point whose support lies inside
     some S(xi) is unstable, and every unstable point's support is inside
-    one of them.  The empty set is reported only when it is the only
-    destabilized support (then only the origin is unstable).  Output is
-    sorted lexicographically.
+    one of them.  The family need not be inclusion-maximal: for the
+    Sigma_1 system it is [{0, 1}, {2, 3}, {3}] with {3} inside {2, 3};
+    `inclusion_maximal` filters it to the maximal sets.  The empty set is
+    reported only when it is the only destabilized support (then only the
+    origin is unstable).  Output is sorted lexicographically.
     """
     if ws.n > bound:
         raise BoundExceededError(f"n={ws.n} exceeds enumeration bound {bound}")
@@ -380,37 +400,25 @@ def stabilizer(ws: WeightSystem, S: Iterable[int]) -> StabilizerInfo:
 
 
 def semistable_supports(ws: WeightSystem, bound: int = DEFAULT_BOUND) -> list[frozenset]:
-    """All semistable supports, by downward DFS from the full support.
+    """All semistable supports: the up-closure of the positive bases.
 
-    Semistability is monotone (up-closed) in the support, so any
-    non-semistable set prunes its whole subset tree.  Cone membership
-    depends only on the set of distinct weight vectors, which caches most
-    of the LP calls for repeated weights.
+    Semistability is up-closed in the support, and S is semistable iff it
+    contains a positive basis (see `_positive_bases`).  Output is sorted
+    lexicographically.
     """
     if ws.n > bound:
         raise BoundExceededError(f"n={ws.n} exceeds enumeration bound {bound}")
-    cone_cache: dict[frozenset, bool] = {}
-
-    def ok(S: frozenset) -> bool:
-        key = frozenset(ws.weights[i] for i in S)
-        if key not in cone_cache:
-            cone_cache[key] = semistable_support(ws, S)
-        return cone_cache[key]
-
-    full = frozenset(range(ws.n))
-    out: list[frozenset] = []
-    seen: set[frozenset] = set()
-    stack = [full]
-    while stack:
-        S = stack.pop()
-        if S in seen:
-            continue
-        seen.add(S)
-        if not ok(S):
-            continue
-        out.append(S)
-        for i in S:
-            stack.append(S - {i})
+    full = (1 << ws.n) - 1
+    masks: set[int] = set()
+    for T in _positive_bases(ws, range(ws.n)):
+        base = sum(1 << i for i in T)
+        rest = sub = full & ~base
+        while True:  # every submask of rest, rest itself down to 0
+            masks.add(base | sub)
+            if not sub:
+                break
+            sub = (sub - 1) & rest
+    out = [frozenset(i for i in range(ws.n) if m >> i & 1) for m in masks]
     return sorted(out, key=lambda s: (sorted(s), len(s)))
 
 
@@ -429,16 +437,17 @@ def quotient_smooth(
 
 
 def quotient_compact(ws: WeightSystem) -> bool:
-    """True iff the recession cone {s >= 0, sum s_i beta^i = 0} is trivial."""
-    n = ws.n
-    A_ub = [[-_I if j == i else _Z for j in range(n)] for i in range(n)]
-    b_ub = [_Z] * n
-    A_eq = [[Fraction(ws.weights[i][a]) for i in range(n)] for a in range(ws.rank)]
-    b_eq = [_Z] * ws.rank
-    A_eq.append([_I] * n)
-    b_eq.append(_I)
-    feasible, _ = lp_feasible(A_ub, b_ub, A_eq, b_eq, nvars=n)
-    return not feasible
+    """True iff the recession cone {s >= 0, sum s_i beta^i = 0} is trivial.
+
+    A nonzero s scales to sum s_i = 1, so the cone is trivial iff
+    (0, ..., 0, 1) is not in Cone{(beta^i, 1)}.
+    """
+    lifted = WeightSystem(
+        ws.rank + 1,
+        tuple(w + (1,) for w in ws.weights),
+        (_Z,) * ws.rank + (_I,),
+    )
+    return not semistable_support(lifted, range(ws.n))
 
 
 def kahler_strata(ws: WeightSystem, bound: int = DEFAULT_BOUND) -> list[StratumRecord]:

@@ -11,6 +11,7 @@ from functools import lru_cache
 import numpy as np
 
 from hkquot import AmbientPoint, WeightSystem
+from hkquot.exactlin import lp_maximize
 
 BOX = 10
 
@@ -62,6 +63,34 @@ def box_polystable_support(ws: WeightSystem, support, box: int = BOX) -> bool:
     _, bvals, tvals = _box_scan(ws, support, box)
     hits = np.all(bvals >= 0, axis=1) & (tvals <= 0)
     return not np.any(hits & ((tvals < 0) | np.any(bvals != 0, axis=1)))
+
+
+def lp_semistable_support(ws: WeightSystem, support) -> bool:
+    """theta in Cone{beta^i : i in S}, by exact LP feasibility of
+    s >= 0, sum_{i in S} s_i beta^i = theta."""
+    idx = sorted(support)
+    m = len(idx)
+    status, _, _ = lp_maximize(
+        [0] * m,
+        A_ub=[[-1 if j == i else 0 for j in range(m)] for i in range(m)],
+        b_ub=[0] * m,
+        A_eq=[[ws.weights[i][a] for i in idx] for a in range(ws.rank)],
+        b_eq=list(ws.theta),
+    )
+    return status == "optimal"
+
+
+def lp_quotient_compact(ws: WeightSystem) -> bool:
+    """No s >= 0 with sum s_i beta^i = 0 and sum s_i = 1, by exact LP."""
+    n = ws.n
+    status, _, _ = lp_maximize(
+        [0] * n,
+        A_ub=[[-1 if j == i else 0 for j in range(n)] for i in range(n)],
+        b_ub=[0] * n,
+        A_eq=[[ws.weights[i][a] for i in range(n)] for a in range(ws.rank)] + [[1] * n],
+        b_eq=[0] * ws.rank + [1],
+    )
+    return status != "optimal"
 
 
 def j_flow_value(ws: WeightSystem, p, xi, t: float) -> float:

@@ -10,7 +10,6 @@ import pytest
 from hkquot.exactlin import (
     integer_primitive,
     kernel_basis,
-    lp_feasible,
     lp_maximize,
     matrix_rank,
     rref,
@@ -181,10 +180,3 @@ def test_smith_invariant_factors_match_minor_gcds():
         assert got == _minor_gcd_factors(mat)
         for a, b in zip(got, got[1:]):
             assert b % a == 0
-
-
-def test_lp_feasible_wrapper():
-    ok, x = lp_feasible(A_eq=[[1, 1]], b_eq=[2], nvars=2)
-    assert ok and x[0] + x[1] == 2
-    ok, _ = lp_feasible(A_ub=[[1], [-1]], b_ub=[0, -1])
-    assert not ok

@@ -14,6 +14,7 @@ from hkquot import (
     classify_point,
     classify_support,
     doubled_weights,
+    hk_candidate_strata,
     inclusion_maximal,
     kahler_strata,
     mu_weight,
@@ -26,12 +27,14 @@ from hkquot import (
     support,
     unstable_maximal_supports,
 )
-from hkquot import git_stability
+from hkquot import exactlin, git_stability
 from hkquot.git_stability import STABLE, STRICTLY_SEMISTABLE, UNSTABLE
 
 from oracles import (
     box_classify_support,
     box_polystable_support,
+    lp_quotient_compact,
+    lp_semistable_support,
     random_ambient,
     random_weight_system,
 )
@@ -239,6 +242,53 @@ def test_cold_verdict_lp_budget(monkeypatch):
     git_stability._classify_support_cached.cache_clear()
     assert seen >= {(STABLE, True), (UNSTABLE, True), (UNSTABLE, False),
                     (STRICTLY_SEMISTABLE, True), (STRICTLY_SEMISTABLE, False)}
+
+
+def check_semistable_against_oracles(ws: WeightSystem, box_exact: bool) -> None:
+    supports = list(all_supports(ws))
+    want = {S: lp_semistable_support(ws, S) for S in supports}
+    assert semistable_supports(ws) == sorted((S for S in supports if want[S]), key=sorted)
+    assert quotient_compact(ws) == lp_quotient_compact(ws)
+    for S in supports:
+        got = semistable_support(ws, S)
+        assert got == want[S]
+        box_ok = box_classify_support(ws, S)[0] != UNSTABLE
+        assert box_ok or not got  # a box destabilizer is exact
+        if box_exact:
+            assert got == box_ok
+
+
+def test_semistable_supports_match_lp_oracle():
+    # The box oracle proves instability but cannot refute it: it sees only
+    # destabilizers with entries <= 10, and some draws need larger ones,
+    # e.g. (9, 15, 4).  So it is compared both ways only on the small
+    # degenerate systems; the LP reference is exact everywhere.
+    rng = np.random.default_rng(5)
+    for _ in range(300):
+        check_semistable_against_oracles(random_weight_system(rng, nmax=5), box_exact=False)
+    for ws in DEGENERATE:
+        check_semistable_against_oracles(ws, box_exact=True)
+
+
+def test_semistable_paths_use_no_lp(monkeypatch, hirzebruch1):
+    real = git_stability.lp_maximize
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(git_stability, "lp_maximize", counting)
+    monkeypatch.setattr(exactlin, "lp_maximize", counting)
+    rng = np.random.default_rng(13)
+    for ws in [hirzebruch1] + [random_weight_system(rng, nmax=4) for _ in range(4)]:
+        semistable_support(ws, range(ws.n))
+        semistable_supports(ws)
+        quotient_compact(ws)
+        kahler_strata(ws)
+        quotient_smooth(ws)
+        hk_candidate_strata(ws)
+    assert calls == []
 
 
 def test_unstable_supports_are_downward_closed():
