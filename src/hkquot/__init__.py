@@ -69,7 +69,6 @@ from .rep_core import (
     AmbientPoint,
     Cocharacter,
     CotangentPoint,
-    QuaternionFrame,
     WeightSystem,
     act_by_scale,
     act_imaginary,

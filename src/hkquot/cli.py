@@ -127,7 +127,6 @@ def _load_point(arg: str, mode: str):
 def cmd_analyze(cfg: RunConfig, weights: str) -> dict:
     ws = _load_weights(weights)
     kwargs = {} if cfg.bound is None else {"bound": cfg.bound}
-    strata_kwargs = {} if cfg.bound is None else {"bound": cfg.bound}
     smooth, offending = quotient_smooth(ws, **kwargs)
     return {
         "schema": 1,
@@ -143,7 +142,7 @@ def cmd_analyze(cfg: RunConfig, weights: str) -> dict:
             "offending_support": None if offending is None else sorted(offending),
         },
         "kahler_strata": [s.to_json() for s in kahler_strata(ws, **kwargs)],
-        "hk_candidates": [c.to_json() for c in hk_candidate_strata(ws, **strata_kwargs)],
+        "hk_candidates": [c.to_json() for c in hk_candidate_strata(ws, **kwargs)],
     }
 
 

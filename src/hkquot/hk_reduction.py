@@ -6,7 +6,9 @@ space splits orthogonally into the quaternionic gauge span
     {xi_a.p, I xi_a.p, J xi_a.p, K xi_a.p : a = 1..k}
 
 and its complement, the horizontal space, which models the tangent space
-of the quotient.  The reduced metric is the flat metric restricted to
+of the quotient.  Both orthonormal bases come from one SVD of the 4k
+gauge vectors: its first 4k right singular vectors span the gauge space
+and the remaining 4(n-k) the horizontal space.  The reduced metric is the flat metric restricted to
 horizontal vectors, and the three reduced Kahler forms are
 
     omega_A(u, v) = <A u, v>,   A in {I, J, K}.
@@ -30,7 +32,6 @@ from .moment_maps import hol_moment, mu, mu_hyperkahler, psi
 from .rep_core import (
     AmbientPoint,
     CotangentPoint,
-    QuaternionFrame,
     WeightSystem,
     apply_quaternion,
     cotangent_from_real,
@@ -40,36 +41,12 @@ from .rep_core import (
 
 #: residual below which a point counts as a moment-map zero
 MOMENT_TOL = 1e-9
-#: orthonormalization drop threshold (on unit vectors)
-MGS_TOL = 1e-8
+#: relative singular-value cutoff for the rank of the unit gauge vectors
+RANK_TOL = 1e-8
 #: projection residual beyond which a vector is rejected as non-horizontal
 HORIZONTAL_TOL = 1e-8
 
 OPS = ("I", "J", "K")
-
-
-def _orthonormalize(vectors, against: Optional[list] = None, tol: float = MGS_TOL) -> list:
-    """Modified Gram-Schmidt with one reorthogonalization pass.
-
-    Vectors are normalized first; anything whose residual after projection
-    drops below tol is discarded.  Returns the accepted orthonormal list.
-    """
-    fixed = [] if against is None else list(against)
-    out: list[np.ndarray] = []
-    for v in vectors:
-        nrm = float(np.linalg.norm(v))
-        if nrm == 0.0:
-            continue
-        w = np.asarray(v, dtype=float) / nrm
-        for _ in range(2):
-            for q in fixed:
-                w = w - (q @ w) * q
-            for q in out:
-                w = w - (q @ w) * q
-        nrm = float(np.linalg.norm(w))
-        if nrm > tol:
-            out.append(w / nrm)
-    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,7 +125,9 @@ def horizontal_frame(ws: WeightSystem, p: CotangentPoint, tol: float = MOMENT_TO
 
     Preconditions: ||mu_hk(p)|| < tol and the stabilizer of supp(p) is
     finite.  Fails loudly if the 4k gauge vectors are rank-deficient,
-    which the finite-stabilizer check is meant to exclude.
+    which the finite-stabilizer check is meant to exclude.  The rank is
+    read off the singular values of the gauge vectors scaled to unit
+    length, so it does not depend on the scale of the coordinates.
     """
     q = p.to_numeric()
     if q.n != ws.n:
@@ -164,20 +143,13 @@ def horizontal_frame(ws: WeightSystem, p: CotangentPoint, tol: float = MOMENT_TO
             f"of rank {stab.subtorus_rank}"
         )
     base = gauge_vectors(ws, q)
-    raw = list(base) + [apply_quaternion(op, g) for op in OPS for g in base]
-    gauge_raw = np.array(raw)
-    gauge = _orthonormalize(gauge_raw)
-    if len(gauge) != 4 * ws.rank:
-        raise PreconditionError(
-            f"gauge vectors span dimension {len(gauge)} != 4k = {4 * ws.rank}"
-        )
-    gauge = np.array(gauge)
-    horizontal = _orthonormalize(np.eye(4 * ws.n), against=list(gauge))
-    if len(horizontal) != 4 * (ws.n - ws.rank):
-        raise PreconditionError(
-            f"horizontal dimension {len(horizontal)} != 4(n-k) = {4 * (ws.n - ws.rank)}"
-        )
-    horizontal = np.array(horizontal)
+    gauge_raw = np.vstack([base] + [apply_quaternion(op, base) for op in OPS])
+    unit = gauge_raw / np.linalg.norm(gauge_raw, axis=1, keepdims=True)
+    _, sing, vt = np.linalg.svd(unit)
+    rank = int(np.sum(sing > RANK_TOL * sing[0]))
+    if rank != 4 * ws.rank:
+        raise PreconditionError(f"gauge vectors span dimension {rank} != 4k = {4 * ws.rank}")
+    gauge, horizontal = vt[: 4 * ws.rank], vt[4 * ws.rank :]
     cross = float(np.max(np.abs(gauge @ horizontal.T))) if len(horizontal) else 0.0
     if cross >= 1e-10:
         raise PreconditionError(f"gauge-horizontal cross term {cross:.3e} >= 1e-10")
@@ -210,8 +182,7 @@ def reduced_form(frame: ReducedFrame, op: str, u: np.ndarray, v: np.ndarray) -> 
 def reduced_operator(frame: ReducedFrame, op: str) -> np.ndarray:
     """Matrix of apply-then-project A in the horizontal basis."""
     H = frame.horizontal
-    img = np.array([apply_quaternion(op, h) for h in H])
-    return H @ img.T
+    return H @ apply_quaternion(op, H).T
 
 
 def quaternion_check(frame: ReducedFrame) -> float:
@@ -234,8 +205,7 @@ def gram_matrices(frame: ReducedFrame) -> dict:
     H = frame.horizontal
     out = {"g": H @ H.T}
     for op in OPS:
-        img = np.array([apply_quaternion(op, h) for h in H])
-        out[f"omega_{op}"] = img @ H.T
+        out[f"omega_{op}"] = apply_quaternion(op, H) @ H.T
     return out
 
 
@@ -363,7 +333,6 @@ def ambient_potential_check(points: Sequence[CotangentPoint], h: float = 1e-4) -
         n = q.n
         m = 4 * n
         base = q.real_vector()
-        frameops = QuaternionFrame(n)
 
         def f(w: np.ndarray) -> float:
             return -float(psi(cotangent_from_real(w)))
@@ -380,8 +349,8 @@ def ambient_potential_check(points: Sequence[CotangentPoint], h: float = 1e-4) -
                 ) / (4.0 * h * h)
                 hess[a, b] = val
                 hess[b, a] = val
-        jmat = np.array([frameops.J(e) for e in np.eye(m)]).T
-        imat = np.array([frameops.I(e) for e in np.eye(m)]).T
+        jmat = apply_quaternion("J", np.eye(m)).T
+        imat = apply_quaternion("I", np.eye(m)).T
         form_j = jmat.T @ hess - hess @ jmat
         form_i = imat.T @ hess - hess @ imat
         errs.append(float(np.max(np.abs(form_j - jmat.T))))

@@ -355,42 +355,26 @@ def act_torus(ws: WeightSystem, tvec: Sequence[Scalar], p):
     return AmbientPoint(cs)
 
 
-class QuaternionFrame:
-    """The flat I, J, K operators on the real model R^{4n}."""
-
-    def __init__(self, n: int):
-        self.n = n
-
-    def _blocks(self, v: np.ndarray):
-        n = self.n
-        if len(v) != 4 * n:
-            raise DimensionMismatchError(f"expected length {4 * n}, got {len(v)}")
-        return v[0:n], v[n : 2 * n], v[2 * n : 3 * n], v[3 * n : 4 * n]
-
-    def I(self, v: np.ndarray) -> np.ndarray:  # noqa: E743 - math name
-        xr, xi, yr, yi = self._blocks(np.asarray(v, dtype=float))
-        return np.concatenate([-xi, xr, yi, -yr])
-
-    def J(self, v: np.ndarray) -> np.ndarray:
-        xr, xi, yr, yi = self._blocks(np.asarray(v, dtype=float))
-        return np.concatenate([-yr, -yi, xr, xi])
-
-    def K(self, v: np.ndarray) -> np.ndarray:
-        return self.I(self.J(v))
-
-    def apply(self, op: str, v: np.ndarray) -> np.ndarray:
-        try:
-            return {"I": self.I, "J": self.J, "K": self.K}[op](v)
-        except KeyError:
-            raise ValueError(f"unknown operator {op!r}") from None
-
-
 def apply_quaternion(op: str, v: np.ndarray) -> np.ndarray:
-    """Apply I, J or K to a real 4n-vector."""
+    """Apply I, J or K to a real 4n-vector, or to each row of a matrix of them.
+
+    With v = [Re x, Im x, Re y, Im y] on the last axis,
+    I v = [-Im x, Re x, Im y, -Re y], J v = [-Re y, -Im y, Re x, Im x] and
+    K = I o J.
+    """
     v = np.asarray(v, dtype=float)
-    if len(v) % 4:
+    if v.shape[-1] % 4:
         raise DimensionMismatchError("real vector length must be 4n")
-    return QuaternionFrame(len(v) // 4).apply(op, v)
+    xr, xi, yr, yi = np.split(v, 4, axis=-1)
+    if op == "I":
+        blocks = [-xi, xr, yi, -yr]
+    elif op == "J":
+        blocks = [-yr, -yi, xr, xi]
+    elif op == "K":
+        blocks = [yi, -yr, xi, -xr]
+    else:
+        raise ValueError(f"unknown operator {op!r}")
+    return np.concatenate(blocks, axis=-1)
 
 
 def ambient_point_from_json(data) -> AmbientPoint:

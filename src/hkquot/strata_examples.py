@@ -112,10 +112,14 @@ def hk_candidate_strata(ws: WeightSystem, bound: int = STRATA_BOUND) -> list[HKS
         raise BoundExceededError(f"n = {ws.n} exceeds the enumeration bound {bound}")
     dws = doubled_weights(ws)
     out = []
+    consistent: dict[frozenset, bool] = {}
     for U in semistable_supports(dws, bound=2 * bound):
         sx = frozenset(i for i in U if i < ws.n)
         sz = frozenset(i - ws.n for i in U if i >= ws.n)
-        if not hol_consistent(ws, sx & sz):
+        T = sx & sz
+        if T not in consistent:
+            consistent[T] = hol_consistent(ws, T)
+        if not consistent[T]:
             continue
         out.append(
             HKStratumCandidate(support_x=sx, support_z=sz, stabilizer=stabilizer(dws, U))

@@ -93,6 +93,35 @@ def lp_quotient_compact(ws: WeightSystem) -> bool:
     return status != "optimal"
 
 
+def mgs_frame(gauge_raw: np.ndarray, n: int):
+    """(gauge, horizontal) orthonormal row matrices splitting R^{4n}, by
+    modified Gram-Schmidt with one reorthogonalization pass.
+
+    Each vector is normalized first and dropped when its residual after
+    projection falls below 1e-8; the horizontal rows come from running the
+    standard basis against the accepted gauge rows.
+    """
+
+    def orthonormalize(vectors, fixed=()):
+        out = []
+        for v in vectors:
+            nrm = float(np.linalg.norm(v))
+            if nrm == 0.0:
+                continue
+            w = np.asarray(v, dtype=float) / nrm
+            for _ in range(2):
+                for q in list(fixed) + out:
+                    w = w - (q @ w) * q
+            nrm = float(np.linalg.norm(w))
+            if nrm > 1e-8:
+                out.append(w / nrm)
+        return out
+
+    gauge = orthonormalize(gauge_raw)
+    horizontal = orthonormalize(np.eye(4 * n), fixed=gauge)
+    return np.array(gauge).reshape(-1, 4 * n), np.array(horizontal).reshape(-1, 4 * n)
+
+
 def j_flow_value(ws: WeightSystem, p, xi, t: float) -> float:
     """<Re M(flow_t(p)), xi> along the J-direction flow, in closed form.
 

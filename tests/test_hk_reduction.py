@@ -11,10 +11,13 @@ from hkquot import (
     CotangentPoint,
     PreconditionError,
     WeightSystem,
+    certify_stratum,
+    hk_candidate_strata,
     mu_hyperkahler,
     psi,
     solve_hyperkahler,
 )
+from hkquot import hk_reduction
 from hkquot.hk_reduction import (
     ambient_frame,
     ambient_potential_check,
@@ -32,6 +35,9 @@ from hkquot.hk_reduction import (
     transport_tangent,
     zero_section_check,
 )
+from hkquot.strata_examples import hirzebruch_weight_system
+
+from oracles import mgs_frame, random_weight_system
 
 F = Fraction
 
@@ -261,3 +267,64 @@ def test_gauge_vectors_shape(hirzebruch1, hirzebruch_frame):
     # the solved representative does sit on the zero level
     hk = mu_hyperkahler(hirzebruch1, hirzebruch_frame.base_point)
     assert hk.norm() < 1e-9
+
+
+def _hirzebruch_solver_points(n: int, count: int, seed: int):
+    ws = hirzebruch_weight_system(n)
+    rng = np.random.default_rng(seed)
+    points = []
+    while len(points) < count:
+        z0, z1, w = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+        p = CotangentPoint.numeric([0, 0, 1, 0], [z0, z1, 0, 1 + 0.2 * w])
+        out = solve_hyperkahler(ws, p)
+        if out.status == "converged":
+            points.append(out.representative)
+    return ws, points
+
+
+def _random_witness(rank: int, seed: int):
+    """A certified moment-zero point with finite stabilizer on the first
+    random_weight_system draw of the given rank that has one."""
+    rng = np.random.default_rng(seed)
+    while True:
+        ws = random_weight_system(rng, nmax=5, kmax=3)
+        if ws.rank != rank or ws.n <= rank:
+            continue
+        for cand in hk_candidate_strata(ws):
+            if cand.stabilizer.subtorus_rank == 0:
+                witness = certify_stratum(ws, cand).witness
+                if witness is not None:
+                    return ws, witness
+
+
+def test_frame_projectors_match_gram_schmidt_oracle():
+    cases = []
+    for n in (1, 2, 3, 5, 8):
+        ws, points = _hirzebruch_solver_points(n, count=3, seed=n)
+        cases += [(ws, p) for p in points]
+    for rank in (2, 3):
+        ws, witness = _random_witness(rank, seed=0)
+        cases.append((ws, witness))
+    for ws, p in cases:
+        frame = horizontal_frame(ws, p)
+        gauge, horizontal = mgs_frame(frame.gauge_raw, ws.n)
+        assert frame.dim == len(horizontal) == 4 * (ws.n - ws.rank)
+        H, G = frame.horizontal, frame.gauge
+        assert np.max(np.abs(H.T @ H - horizontal.T @ horizontal)) < 1e-12
+        assert np.max(np.abs(G.T @ G - gauge.T @ gauge)) < 1e-12
+        assert quaternion_check(frame) < 1e-9
+
+
+def test_frame_rank_check(monkeypatch, hirzebruch1, hirzebruch_frame):
+    p = hirzebruch_frame.base_point
+    rows = hk_reduction.gauge_vectors(hirzebruch1, p)
+    # two equal rows span one quaternionic line instead of 4k = 8 directions
+    monkeypatch.setattr(hk_reduction, "gauge_vectors", lambda ws, q: rows[[0, 0]])
+    with pytest.raises(PreconditionError, match="span dimension 4 != 4k = 8"):
+        horizontal_frame(hirzebruch1, p)
+    # the rank test runs on unit rows, so a tiny but independent row counts
+    monkeypatch.setattr(hk_reduction, "gauge_vectors", lambda ws, q: rows * [[1.0], [1e-9]])
+    frame = horizontal_frame(hirzebruch1, p)
+    H = hirzebruch_frame.horizontal
+    assert frame.dim == 8
+    assert np.max(np.abs(frame.horizontal.T @ frame.horizontal - H.T @ H)) < 1e-12

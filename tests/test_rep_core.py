@@ -2,6 +2,7 @@
 
 import math
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from hkquot import (
     DimensionMismatchError,
     PhasedComplex,
     QC,
-    QuaternionFrame,
     WeightSystem,
     act_by_scale,
     act_imaginary,
@@ -143,14 +143,25 @@ def test_support_and_threshold():
 
 def test_quaternion_relations():
     rng = np.random.default_rng(1)
+    I, J, K = (partial(apply_quaternion, op) for op in "IJK")
     for n in (1, 2, 5):
-        frame = QuaternionFrame(n)
         v = rng.standard_normal(4 * n)
-        assert np.array_equal(frame.I(frame.I(v)), -v)
-        assert np.array_equal(frame.J(frame.J(v)), -v)
-        assert np.array_equal(frame.K(frame.K(v)), -v)
-        assert np.array_equal(frame.K(v), frame.I(frame.J(v)))
-        assert np.linalg.norm(frame.J(v)) == pytest.approx(np.linalg.norm(v), rel=1e-15)
+        assert np.array_equal(I(I(v)), -v)
+        assert np.array_equal(J(J(v)), -v)
+        assert np.array_equal(K(K(v)), -v)
+        assert np.array_equal(K(v), I(J(v)))
+        assert np.linalg.norm(J(v)) == pytest.approx(np.linalg.norm(v), rel=1e-15)
+
+
+def test_quaternion_acts_on_matrix_rows():
+    rng = np.random.default_rng(2)
+    for n in (1, 3):
+        M = rng.standard_normal((5, 4 * n))
+        for op in "IJK":
+            rowwise = np.array([apply_quaternion(op, row) for row in M])
+            assert np.array_equal(apply_quaternion(op, M), rowwise)
+    with pytest.raises(DimensionMismatchError):
+        apply_quaternion("I", np.zeros((2, 6)))
 
 
 def test_quaternion_j_moves_x_to_y():

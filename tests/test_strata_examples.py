@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from hkquot import (
@@ -9,10 +10,13 @@ from hkquot import (
     PreconditionError,
     WeightSystem,
     act_torus,
+    doubled_weights,
     hol_moment,
     mu_hyperkahler,
+    semistable_supports,
     support,
 )
+from hkquot import strata_examples
 from hkquot.strata_examples import (
     CANDIDATE,
     CERTIFIED,
@@ -62,6 +66,32 @@ def test_hol_consistency_filter(hirzebruch1):
     ws = WeightSystem(1, ((1,), (1,)), (F(0),))
     assert hol_consistent(ws, {0, 1})
     assert not hol_consistent(ws, {1})
+
+
+def test_hol_consistency_checked_once_per_overlap(monkeypatch):
+    # the filter depends only on T = sx & sz, so it runs at most 2^n times
+    rng = np.random.default_rng(5)
+    weights = tuple(tuple(int(v) for v in row) for row in rng.integers(-3, 4, size=(6, 2)))
+    ws = WeightSystem(2, weights, (F(1, 2), F(1)))
+    real = strata_examples.hol_consistent
+    calls = []
+
+    def counting(ws_, T):
+        calls.append(frozenset(T))
+        return real(ws_, T)
+
+    monkeypatch.setattr(strata_examples, "hol_consistent", counting)
+    got = hk_candidate_strata(ws)
+    assert len(calls) == len(set(calls)) <= 2**ws.n
+    # same candidates as filtering every doubled support on its own
+    want = set()
+    for U in semistable_supports(doubled_weights(ws)):
+        sx = frozenset(i for i in U if i < ws.n)
+        sz = frozenset(i - ws.n for i in U if i >= ws.n)
+        if real(ws, sx & sz):
+            want.add((sx, sz))
+    assert {(c.support_x, c.support_z) for c in got} == want
+    assert len(got) == len(want) > 0
 
 
 def test_candidates_single_weight():
