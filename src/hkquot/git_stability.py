@@ -28,9 +28,16 @@ use no LP.  A verdict with certificate costs at most two LPs:
 * certificates and witnesses are primitive integral cocharacters, so they
   can be re-checked by exact mu-weight evaluation.
 
-Unstable-locus enumeration walks sign chambers of the hyperplane
+Unstable-locus enumeration walks the sign cells of the hyperplane
 arrangement {beta^i(xi) = 0} inside the open half-space <theta, xi> < 0;
 each realized sign cell contributes the support S(xi) it destabilizes.
+The walk fixes one line R beta^i per level and carries an exact witness
+xi for every realized sign prefix.  A child cell is realized by the
+parent's witness, by a point on the segment between two witnesses, or by
+one LP, so the walk issues at most one LP per realized prefix, and each
+cell it reports comes with a witness that can be re-checked exactly.
+The walk depends only on the lines and theta, which the cotangent system
+`doubled_weights(ws)` shares with ws, so the two share one memoized walk.
 """
 
 from __future__ import annotations
@@ -213,17 +220,9 @@ def _cone_membership_lp(ws: WeightSystem, idx: list[int]):
     return status, x[:m], value
 
 
-def _cone_box_rows(ws: WeightSystem, idx: list[int], extra=(), nv: Optional[int] = None):
-    """Inequalities (A_ub, b_ub): -beta^i(xi) <= 0 for i in idx, the
-    homogeneous rows `extra` (<= 0), then the unit box |xi_j| <= 1.
-
-    Columns past the first k (nv > k) are zero in the cone and box rows.
-    """
-    k = ws.rank
-    nv = k if nv is None else nv
-    pad = [_Z] * (nv - k)
-    A_ub = [[-Fraction(ws.weights[i][a]) for a in range(k)] + pad for i in idx]
-    A_ub.extend(extra)
+def _box_rows(A_ub: list[list[Fraction]], k: int, nv: int):
+    """Inequalities (A_ub, b_ub): the homogeneous rows A_ub (<= 0), then
+    the unit box |xi_j| <= 1 on the first k of nv columns."""
     b_ub = [_Z] * len(A_ub)
     for j in range(k):
         for sgn in (1, -1):
@@ -232,6 +231,14 @@ def _cone_box_rows(ws: WeightSystem, idx: list[int], extra=(), nv: Optional[int]
             A_ub.append(row)
             b_ub.append(_I)
     return A_ub, b_ub
+
+
+def _cone_box_rows(ws: WeightSystem, idx: list[int], extra=()):
+    """-beta^i(xi) <= 0 for i in idx and the rows `extra`, in the unit box."""
+    k = ws.rank
+    A_ub = [[-Fraction(ws.weights[i][a]) for a in range(k)] for i in idx]
+    A_ub.extend(extra)
+    return _box_rows(A_ub, k, k)
 
 
 def _unstable_certificate_lp(ws: WeightSystem, idx: list[int]) -> Cocharacter:
@@ -326,10 +333,16 @@ def unstable_maximal_supports(
     `inclusion_maximal` filters it to the maximal sets.  The empty set is
     reported only when it is the only destabilized support (then only the
     origin is unstable).  Output is sorted lexicographically.
+
+    The cells come from `_chamber_walk` over the distinct lines R beta^i,
+    which carries an exact witness down the walk and so issues at most one
+    LP per realized sign prefix.  `doubled_weights(ws)` adds only the
+    opposite weights, so the cotangent system has the same lines and
+    theta: asked right after the base system, it reuses the same walk and
+    issues no LP.
     """
     if ws.n > bound:
         raise BoundExceededError(f"n={ws.n} exceeds enumeration bound {bound}")
-    k = ws.rank
     zero_idx = [i for i in range(ws.n) if all(v == 0 for v in ws.weights[i])]
 
     # Group coordinates by the line R beta^i: canonical primitive direction
@@ -346,46 +359,101 @@ def unstable_maximal_supports(
             prim = [-v for v in prim]
             orient = -1
         lines.setdefault(tuple(prim), []).append((i, orient))
-    dirs = sorted(lines)
-
-    def realized(assign: list[int]) -> bool:
-        # max t s.t. sign constraints, <theta, xi> <= -t, |xi| <= 1, t <= 1
-        signed: list[list[Fraction]] = []
-        A_eq: list[list[Fraction]] = []
-        for q, sgn in zip(dirs, assign):
-            if sgn == 0:
-                A_eq.append([Fraction(v) for v in q] + [_Z])
-            else:
-                signed.append([-Fraction(sgn * v) for v in q] + [_I])
-        signed.append([Fraction(t) for t in ws.theta] + [_I])
-        A_ub, b_ub = _cone_box_rows(ws, [], extra=signed, nv=k + 1)
-        trow = [_Z] * k + [_I]
-        A_ub.append(trow)
-        b_ub.append(_I)
-        status, _, value = lp_maximize(trow, A_ub, b_ub, A_eq, [_Z] * len(A_eq))
-        return status == "optimal" and value > 0
+    dirs = tuple(sorted(lines))
 
     found: set[frozenset] = set()
-
-    def walk(assign: list[int]) -> None:
-        if not realized(assign):
-            return
-        if len(assign) == len(dirs):
-            S = set(zero_idx)
-            for q, sgn in zip(dirs, assign):
-                for i, orient in lines[q]:
-                    if orient * sgn >= 0:
-                        S.add(i)
-            found.add(frozenset(S))
-            return
-        for sgn in (1, 0, -1):
-            walk(assign + [sgn])
-
-    walk([])
+    for signs, _ in _chamber_walk(dirs, ws.theta):
+        S = set(zero_idx)
+        for q, sgn in zip(dirs, signs):
+            for i, orient in lines[q]:
+                if orient * sgn >= 0:
+                    S.add(i)
+        found.add(frozenset(S))
     nonempty = sorted((s for s in found if s), key=sorted)
     if nonempty:
         return nonempty
     return sorted(found, key=sorted)
+
+
+@lru_cache(maxsize=1)
+def _chamber_walk(
+    dirs: tuple[tuple[int, ...], ...], theta: tuple[Fraction, ...]
+) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    """The sign cells of the lines `dirs` realized inside {<theta, xi> < 0}.
+
+    Returns (signs, xi) per cell: xi is a primitive integral witness with
+    sign(q . xi) = signs[j] for the j-th line q and <theta, xi> < 0.  The
+    walk fixes one line per level, and every realized prefix carries such
+    a witness xi.  With q the next line and d = q . xi, the children are:
+
+    * d != 0: xi realizes the sign(d) child.  One LP decides the opposite
+      child; if it yields xi', the point of the segment [xi, xi'] on q = 0
+      realizes the 0-child.  If it does not, neither does the 0-child: the
+      cell is relatively open, so a point of it on q = 0 could be pushed
+      to the opposite side.
+    * d = 0: if q lies in the span of the lines assigned 0, it vanishes on
+      the whole cell and only the 0-child exists.  Otherwise all three are
+      realized: the 0-child by xi, and + and - by one LP each.
+
+    The root's witness is -theta; theta = 0 realizes nothing.  That is at
+    most one LP per realized prefix.  The memo holds one arrangement, so
+    nothing is kept from one weight system to the next.
+    """
+    if not any(theta):
+        return ()
+    k = len(theta)
+    cells: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
+
+    def witness(signs: list[int]) -> Optional[list[int]]:
+        # max t s.t. sign constraints, <theta, xi> <= -t, |xi| <= 1, t <= 1
+        signed: list[list[Fraction]] = []
+        A_eq: list[list[Fraction]] = []
+        for q, sgn in zip(dirs, signs):
+            if sgn == 0:
+                A_eq.append([Fraction(v) for v in q] + [_Z])
+            else:
+                signed.append([-Fraction(sgn * v) for v in q] + [_I])
+        signed.append(list(theta) + [_I])
+        A_ub, b_ub = _box_rows(signed, k, k + 1)
+        trow = [_Z] * k + [_I]
+        A_ub.append(trow)
+        b_ub.append(_I)
+        status, x, value = lp_maximize(trow, A_ub, b_ub, A_eq, [_Z] * len(A_eq))
+        if status == "optimal" and value > 0:
+            return integer_primitive(x[:k])
+        return None
+
+    def walk(signs: list[int], xi: list[int], zeros: list[tuple[int, ...]]) -> None:
+        # zeros: a basis of the span of the lines assigned 0 so far
+        if len(signs) == len(dirs):
+            cells.append((tuple(signs), tuple(xi)))
+            return
+        q = dirs[len(signs)]
+        d = sum(a * b for a, b in zip(q, xi))
+        zero_basis = zeros + [q]  # for the 0-child
+        children: dict[int, Optional[list[int]]]
+        if d != 0:
+            s = 1 if d > 0 else -1
+            children = {s: xi, -s: witness(signs + [-s])}
+            other = children[-s]
+            if other is not None:
+                # (d xi' - d' xi) / (d - d'), scaled by |d - d'|
+                d2 = sum(a * b for a, b in zip(q, other))
+                children[0] = integer_primitive(
+                    [s * (d * a - d2 * b) for a, b in zip(other, xi)]
+                )
+        elif len(rref(zero_basis)[1]) == len(zeros):
+            children = {0: xi}
+            zero_basis = zeros
+        else:
+            children = {1: witness(signs + [1]), 0: xi, -1: witness(signs + [-1])}
+        for sgn in (1, 0, -1):
+            child = children.get(sgn)
+            if child is not None:
+                walk(signs + [sgn], child, zero_basis if sgn == 0 else zeros)
+
+    walk([], integer_primitive([-t for t in theta]), [])
+    return tuple(cells)
 
 
 def stabilizer(ws: WeightSystem, S: Iterable[int]) -> StabilizerInfo:

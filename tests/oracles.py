@@ -11,7 +11,7 @@ from functools import lru_cache
 import numpy as np
 
 from hkquot import AmbientPoint, WeightSystem
-from hkquot.exactlin import lp_maximize
+from hkquot.exactlin import integer_primitive, lp_maximize
 
 BOX = 10
 
@@ -91,6 +91,77 @@ def lp_quotient_compact(ws: WeightSystem) -> bool:
         b_eq=[0] * ws.rank + [1],
     )
     return status != "optimal"
+
+
+def dfs_unstable_supports(ws: WeightSystem) -> list[frozenset]:
+    """Destabilized supports S(xi), one per realized sign cell, by a plain
+    depth-first walk that decides every sign prefix with its own exact LP
+    (three per realized prefix).  Output is sorted lexicographically, with
+    the empty set only when it is the only one."""
+    k = ws.rank
+    zero_idx = [i for i in range(ws.n) if all(v == 0 for v in ws.weights[i])]
+
+    # Group coordinates by the line R beta^i: canonical primitive direction
+    # plus an orientation per index.
+    lines: dict[tuple[int, ...], list[tuple[int, int]]] = {}
+    for i in range(ws.n):
+        w = ws.weights[i]
+        if all(v == 0 for v in w):
+            continue
+        prim = integer_primitive([Fraction(v) for v in w])
+        lead = next(v for v in prim if v != 0)
+        orient = 1
+        if lead < 0:
+            prim = [-v for v in prim]
+            orient = -1
+        lines.setdefault(tuple(prim), []).append((i, orient))
+    dirs = sorted(lines)
+
+    def realized(assign: list[int]) -> bool:
+        # max t s.t. sign constraints, <theta, xi> <= -t, |xi| <= 1, t <= 1
+        signed: list[list[Fraction]] = []
+        A_eq: list[list[Fraction]] = []
+        for q, sgn in zip(dirs, assign):
+            if sgn == 0:
+                A_eq.append([Fraction(v) for v in q] + [Fraction(0)])
+            else:
+                signed.append([-Fraction(sgn * v) for v in q] + [Fraction(1)])
+        signed.append([Fraction(t) for t in ws.theta] + [Fraction(1)])
+        A_ub = signed
+        b_ub = [Fraction(0)] * len(A_ub)
+        for j in range(k):
+            for sgn in (1, -1):
+                row = [Fraction(0)] * (k + 1)
+                row[j] = Fraction(sgn)
+                A_ub.append(row)
+                b_ub.append(Fraction(1))
+        trow = [Fraction(0)] * k + [Fraction(1)]
+        A_ub.append(trow)
+        b_ub.append(Fraction(1))
+        status, _, value = lp_maximize(trow, A_ub, b_ub, A_eq, [Fraction(0)] * len(A_eq))
+        return status == "optimal" and value > 0
+
+    found: set[frozenset] = set()
+
+    def walk(assign: list[int]) -> None:
+        if not realized(assign):
+            return
+        if len(assign) == len(dirs):
+            S = set(zero_idx)
+            for q, sgn in zip(dirs, assign):
+                for i, orient in lines[q]:
+                    if orient * sgn >= 0:
+                        S.add(i)
+            found.add(frozenset(S))
+            return
+        for sgn in (1, 0, -1):
+            walk(assign + [sgn])
+
+    walk([])
+    nonempty = sorted((s for s in found if s), key=sorted)
+    if nonempty:
+        return nonempty
+    return sorted(found, key=sorted)
 
 
 def mgs_frame(gauge_raw: np.ndarray, n: int):

@@ -177,6 +177,13 @@ def test_output_is_byte_deterministic(capsys):
             assert code == 0
             runs.append(out)
         assert runs[0] == runs[1]
+    # the chamber walk memo holds one arrangement: a different system in
+    # between must not change the first system's output
+    hirzebruch2 = json.dumps(
+        {"rank": 2, "weights": [[1, 0], [1, 0], [0, 1], [-2, 1]], "theta": ["1/2", "1/2"]}
+    )
+    outs = [run(capsys, "analyze", ws)[1] for ws in (HIRZEBRUCH1, hirzebruch2, HIRZEBRUCH1)]
+    assert outs[0] == outs[2] != outs[1]
 
 
 def test_csv_and_table_render(capsys):

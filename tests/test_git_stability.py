@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 from itertools import combinations
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -29,10 +30,13 @@ from hkquot import (
 )
 from hkquot import exactlin, git_stability
 from hkquot.git_stability import STABLE, STRICTLY_SEMISTABLE, UNSTABLE
+from hkquot.strata_examples import hirzebruch_weight_system
 
+import oracles
 from oracles import (
     box_classify_support,
     box_polystable_support,
+    dfs_unstable_supports,
     lp_quotient_compact,
     lp_semistable_support,
     random_ambient,
@@ -243,17 +247,21 @@ def test_destabilizer_outside_the_box():
         check_against_oracles(ws, v)
 
 
-def test_cold_verdict_lp_budget(monkeypatch):
-    # stable: the membership LP alone; unstable: membership plus certificate;
-    # strictly semistable: one more LP only when B_S has full rank
-    real = git_stability.lp_maximize
-    calls = []
+def counting_lp(calls: list):
+    real = exactlin.lp_maximize
 
     def counting(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(git_stability, "lp_maximize", counting)
+    return counting
+
+
+def test_cold_verdict_lp_budget(monkeypatch):
+    # stable: the membership LP alone; unstable: membership plus certificate;
+    # strictly semistable: one more LP only when B_S has full rank
+    calls = []
+    monkeypatch.setattr(git_stability, "lp_maximize", counting_lp(calls))
     rng = np.random.default_rng(11)
     seen = set()
     for ws in [random_weight_system(rng, nmax=5) for _ in range(10)] + list(DEGENERATE):
@@ -298,15 +306,9 @@ def test_semistable_supports_match_lp_oracle():
 
 
 def test_semistable_paths_use_no_lp(monkeypatch, hirzebruch1):
-    real = git_stability.lp_maximize
     calls = []
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(git_stability, "lp_maximize", counting)
-    monkeypatch.setattr(exactlin, "lp_maximize", counting)
+    monkeypatch.setattr(git_stability, "lp_maximize", counting_lp(calls))
+    monkeypatch.setattr(exactlin, "lp_maximize", counting_lp(calls))
     rng = np.random.default_rng(13)
     for ws in [hirzebruch1] + [random_weight_system(rng, nmax=4) for _ in range(4)]:
         semistable_support(ws, range(ws.n))
@@ -316,6 +318,137 @@ def test_semistable_paths_use_no_lp(monkeypatch, hirzebruch1):
         quotient_smooth(ws)
         hk_candidate_strata(ws)
     assert calls == []
+
+
+#: several lines in one plane of R^3, so the walk meets lines that lie in
+#: the span of the lines already assigned 0
+COPLANAR = (
+    WeightSystem(3, ((1, 0, 0), (0, 1, 0), (1, 1, 0), (1, -1, 0), (0, 0, 1)), (F(1), F(1, 2), F(-1))),
+    WeightSystem(3, ((0, 0, 1), (0, 1, 0), (0, 1, 1), (1, 0, 0), (0, 1, -1)), (F(1), F(0), F(0))),
+)
+
+
+class WalkRun(NamedTuple):
+    ws: WeightSystem
+    got: list  # unstable_maximal_supports of ws and doubled_weights(ws)
+    want: list  # dfs_unstable_supports of the same two systems
+    walk_lps: list  # the LPs of both walk calls
+    oracle_lps: list  # the LPs of the oracle on ws alone
+    walks: list  # (dirs, theta, cells) of each `_chamber_walk` call
+
+
+@pytest.fixture(scope="module")
+def walk_runs() -> list[WalkRun]:
+    """The chamber walk and the DFS oracle on seeded draws, DEGENERATE and
+    COPLANAR."""
+    rng = np.random.default_rng(17)
+    systems = [random_weight_system(rng, nmax=3) for _ in range(200)]
+    systems += [random_weight_system(rng, nmax=6) for _ in range(12)]
+    solved: dict = {}
+    log: list = []
+    walks: list = []
+    walk = git_stability._chamber_walk
+
+    def memo_lp(*args):
+        # lp_maximize is deterministic, and the walk and the oracle ask many
+        # of the same LPs: solve each once per system
+        key = repr(args)
+        log.append(key)
+        if key not in solved:
+            solved[key] = exactlin.lp_maximize(*args)
+        return solved[key]
+
+    def recording(dirs, theta):
+        walks.append((dirs, theta, walk(dirs, theta)))
+        return walks[-1][2]
+
+    runs = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(git_stability, "lp_maximize", memo_lp)
+        mp.setattr(oracles, "lp_maximize", memo_lp)
+        mp.setattr(git_stability, "_chamber_walk", recording)
+        for ws in systems + list(DEGENERATE) + list(COPLANAR):
+            walk.cache_clear()
+            solved.clear()
+            walks.clear()
+            pair = (ws, doubled_weights(ws))
+            log.clear()
+            want = [dfs_unstable_supports(pair[0])]
+            oracle_lps = list(log)
+            log.clear()
+            got = [unstable_maximal_supports(t) for t in pair]
+            walk_lps = list(log)
+            want.append(dfs_unstable_supports(pair[1]))
+            runs.append(WalkRun(ws, got, want, walk_lps, oracle_lps, list(walks)))
+    walk.cache_clear()
+    return runs
+
+
+def test_chamber_walk_matches_dfs_oracle(walk_runs):
+    for run in walk_runs:
+        assert run.got == run.want, run.ws
+
+
+def test_chamber_walk_witnesses(walk_runs):
+    # every cell carries an exact certificate: its witness has the cell's
+    # sign vector, pairs negatively with theta, and destabilizes S(xi)
+    for ws, got, _, _, _, walks in walk_runs:
+        # the base and the cotangent system share one arrangement
+        assert len(walks) == 2 and walks[0] == walks[1]
+        dirs, theta, cells = walks[0]
+        assert theta == ws.theta
+        assert len({signs for signs, _ in cells}) == len(cells)
+        for signs, xi in cells:
+            assert all(isinstance(v, int) for v in xi)
+            assert math.gcd(*xi) == 1
+            assert ws.theta_pairing(xi) < 0
+            for q, sgn in zip(dirs, signs, strict=True):
+                d = sum(a * b for a, b in zip(q, xi))
+                assert (d > 0) - (d < 0) == sgn
+        # the supports are exactly what the witnesses destabilize
+        for target, supports in zip((ws, doubled_weights(ws)), got):
+            family = {
+                frozenset(i for i in range(target.n) if target.weight_pairing(i, xi) >= 0)
+                for _, xi in cells
+            }
+            if any(family):
+                family.discard(frozenset())
+            assert supports == sorted(family, key=sorted)
+
+
+def test_chamber_walk_lp_budget(monkeypatch, walk_runs):
+    calls: list = []
+    monkeypatch.setattr(git_stability, "lp_maximize", counting_lp(calls))
+    monkeypatch.setattr(exactlin, "lp_maximize", counting_lp(calls))
+    git_stability._chamber_walk.cache_clear()
+
+    def lps(ws) -> int:
+        calls.clear()
+        unstable_maximal_supports(ws)
+        return len(calls)
+
+    sigma1, sigma8 = hirzebruch_weight_system(1), hirzebruch_weight_system(8)
+    assert lps(sigma1) == 10
+    # the cotangent call right after the base call reuses the walk
+    assert lps(doubled_weights(sigma1)) == 0
+    assert lps(sigma8) == 9
+    assert lps(doubled_weights(sigma8)) == 0
+    # the memo holds one arrangement: back on Sigma_1 the walk runs again
+    assert lps(sigma1) == 10
+    # four lines in one plane: the rank test spares the LPs of empty cells
+    assert lps(COPLANAR[0]) == 60
+    git_stability._chamber_walk.cache_clear()
+    # base and cotangent walk together ask no more LPs than the oracle's
+    # walk of the base system alone, and only LPs that the oracle asks too
+    for run in walk_runs:
+        assert len(run.walk_lps) <= len(run.oracle_lps), run.ws
+        assert set(run.walk_lps) <= set(run.oracle_lps), run.ws
+    # at most one LP per realized sign prefix; every prefix of a realized
+    # cell is realized, and every realized prefix extends to a cell
+    for run in walk_runs:
+        cells = run.walks[0][2]
+        prefixes = {signs[:j] for signs, _ in cells for j in range(1, len(signs) + 1)}
+        assert len(run.walk_lps) <= len(prefixes), run.ws
 
 
 def test_unstable_supports_are_downward_closed():
