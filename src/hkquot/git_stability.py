@@ -1,10 +1,10 @@
 """Exact GIT stability for torus weight systems.
 
-Everything is decided by exact linear algebra and rational linear
-programming on the combinatorial data (weights, character, coordinate
-supports).  Whether a support S is semistable, theta in
-Cone{beta^i : i in S}, is pure linear algebra: by Caratheodory it holds
-iff S contains a positive basis, a set T of at most k independent
+Everything is decided by exact linear algebra on the combinatorial data
+(weights, character, coordinate supports), and by rational linear
+programming in the classifier only.  Whether a support S is semistable,
+theta in Cone{beta^i : i in S}, is pure linear algebra: by Caratheodory
+it holds iff S contains a positive basis, a set T of at most k independent
 weights with theta a strictly positive combination of beta_T, found by
 one exact rref per candidate T.  `semistable_support`,
 `semistable_supports` (the up-closure of the bases) and `quotient_compact`
@@ -34,8 +34,10 @@ each realized sign cell contributes the support S(xi) it destabilizes.
 The walk fixes one line R beta^i per level and carries an exact witness
 xi for every realized sign prefix.  A child cell is realized by the
 parent's witness, by a point on the segment between two witnesses, or by
-one LP, so the walk issues at most one LP per realized prefix, and each
-cell it reports comes with a witness that can be re-checked exactly.
+one exact open-cone solve (`exactlin.open_cone_point`, Seidel's
+incremental method), so the walk solves no LP, asks at most one open-cone
+point per realized prefix, and each cell it reports comes with a witness
+that can be re-checked exactly.
 The walk depends only on the lines and theta, which the cotangent system
 `doubled_weights(ws)` shares with ws, so the two share one memoized walk.
 """
@@ -54,6 +56,7 @@ from .exactlin import (
     integer_primitive,
     kernel_basis,
     lp_maximize,
+    open_cone_point,
     rref,
     smith_invariant_factors,
 )
@@ -220,25 +223,19 @@ def _cone_membership_lp(ws: WeightSystem, idx: list[int]):
     return status, x[:m], value
 
 
-def _box_rows(A_ub: list[list[Fraction]], k: int, nv: int):
-    """Inequalities (A_ub, b_ub): the homogeneous rows A_ub (<= 0), then
-    the unit box |xi_j| <= 1 on the first k of nv columns."""
-    b_ub = [_Z] * len(A_ub)
-    for j in range(k):
-        for sgn in (1, -1):
-            row = [_Z] * nv
-            row[j] = Fraction(sgn)
-            A_ub.append(row)
-            b_ub.append(_I)
-    return A_ub, b_ub
-
-
 def _cone_box_rows(ws: WeightSystem, idx: list[int], extra=()):
     """-beta^i(xi) <= 0 for i in idx and the rows `extra`, in the unit box."""
     k = ws.rank
     A_ub = [[-Fraction(ws.weights[i][a]) for a in range(k)] for i in idx]
     A_ub.extend(extra)
-    return _box_rows(A_ub, k, k)
+    b_ub = [_Z] * len(A_ub)
+    for j in range(k):
+        for sgn in (1, -1):
+            row = [_Z] * k
+            row[j] = Fraction(sgn)
+            A_ub.append(row)
+            b_ub.append(_I)
+    return A_ub, b_ub
 
 
 def _unstable_certificate_lp(ws: WeightSystem, idx: list[int]) -> Cocharacter:
@@ -335,11 +332,11 @@ def unstable_maximal_supports(
     origin is unstable).  Output is sorted lexicographically.
 
     The cells come from `_chamber_walk` over the distinct lines R beta^i,
-    which carries an exact witness down the walk and so issues at most one
-    LP per realized sign prefix.  `doubled_weights(ws)` adds only the
-    opposite weights, so the cotangent system has the same lines and
-    theta: asked right after the base system, it reuses the same walk and
-    issues no LP.
+    which carries an exact witness down the walk and solves no LP: each
+    realized sign prefix costs at most one exact open-cone solve.
+    `doubled_weights(ws)` adds only the opposite weights, so the cotangent
+    system has the same lines and theta: asked right after the base
+    system, it reuses the same walk and solves nothing.
     """
     if ws.n > bound:
         raise BoundExceededError(f"n={ws.n} exceeds enumeration bound {bound}")
@@ -386,17 +383,20 @@ def _chamber_walk(
     walk fixes one line per level, and every realized prefix carries such
     a witness xi.  With q the next line and d = q . xi, the children are:
 
-    * d != 0: xi realizes the sign(d) child.  One LP decides the opposite
-      child; if it yields xi', the point of the segment [xi, xi'] on q = 0
-      realizes the 0-child.  If it does not, neither does the 0-child: the
-      cell is relatively open, so a point of it on q = 0 could be pushed
-      to the opposite side.
+    * d != 0: xi realizes the sign(d) child.  One open-cone solve decides
+      the opposite child; if it yields xi', the point of the segment
+      [xi, xi'] on q = 0 realizes the 0-child.  If it does not, neither
+      does the 0-child: the cell is relatively open, so a point of it on
+      q = 0 could be pushed to the opposite side.
     * d = 0: if q lies in the span of the lines assigned 0, it vanishes on
       the whole cell and only the 0-child exists.  Otherwise all three are
-      realized: the 0-child by xi, and + and - by one LP each.
+      realized: the 0-child by xi, and + and - by one solve each.
 
-    The root's witness is -theta; theta = 0 realizes nothing.  That is at
-    most one LP per realized prefix.  The memo holds one arrangement, so
+    A solve looks for a point of the open cone {sgn q . xi > 0 for the
+    signed lines, <theta, xi> < 0} inside the kernel of the lines assigned
+    0, by `open_cone_point` in a kernel basis; no LP is involved.  The
+    root's witness is -theta; theta = 0 realizes nothing.  That is at most
+    one solve per realized prefix.  The memo holds one arrangement, so
     nothing is kept from one weight system to the next.
     """
     if not any(theta):
@@ -405,23 +405,18 @@ def _chamber_walk(
     cells: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
 
     def witness(signs: list[int]) -> Optional[list[int]]:
-        # max t s.t. sign constraints, <theta, xi> <= -t, |xi| <= 1, t <= 1
-        signed: list[list[Fraction]] = []
-        A_eq: list[list[Fraction]] = []
-        for q, sgn in zip(dirs, signs):
-            if sgn == 0:
-                A_eq.append([Fraction(v) for v in q] + [_Z])
-            else:
-                signed.append([-Fraction(sgn * v) for v in q] + [_I])
-        signed.append(list(theta) + [_I])
-        A_ub, b_ub = _box_rows(signed, k, k + 1)
-        trow = [_Z] * k + [_I]
-        A_ub.append(trow)
-        b_ub.append(_I)
-        status, x, value = lp_maximize(trow, A_ub, b_ub, A_eq, [_Z] * len(A_eq))
-        if status == "optimal" and value > 0:
-            return integer_primitive(x[:k])
-        return None
+        # a point of {sgn q . xi > 0, <theta, xi> < 0} on the lines assigned
+        # 0, found in a kernel basis of those lines
+        basis = kernel_basis([q for q, sgn in zip(dirs, signs) if sgn == 0], k)
+        rows = [[sgn * sum(a * b for a, b in zip(q, v)) for v in basis]
+                for q, sgn in zip(dirs, signs) if sgn != 0]
+        rows.append([-sum(a * b for a, b in zip(theta, v)) for v in basis])
+        y = open_cone_point(rows)
+        if y is None:
+            return None
+        return integer_primitive(
+            [sum((c * v[a] for c, v in zip(y, basis)), _Z) for a in range(k)]
+        )
 
     def walk(signs: list[int], xi: list[int], zeros: list[tuple[int, ...]]) -> None:
         # zeros: a basis of the span of the lines assigned 0 so far

@@ -107,12 +107,18 @@ def hol_consistent(ws: WeightSystem, T) -> bool:
 
 def hk_candidate_strata(ws: WeightSystem, bound: int = STRATA_BOUND) -> list[HKStratumCandidate]:
     """Support pairs passing the exact necessary conditions, grouped by
-    stabilizer signature (trivial stabilizer first)."""
+    stabilizer signature (trivial stabilizer first).
+
+    The doubled rows on U are the rows of ws on sx | sz, some negated or
+    repeated, so they span the same lattice and stabilizer(dws, U) equals
+    stabilizer(ws, sx | sz): one Smith form per ws-support, not per pair.
+    """
     if ws.n > bound:
         raise BoundExceededError(f"n = {ws.n} exceeds the enumeration bound {bound}")
     dws = doubled_weights(ws)
     out = []
     consistent: dict[frozenset, bool] = {}
+    stabilizers: dict[frozenset, StabilizerInfo] = {}
     for U in semistable_supports(dws, bound=2 * bound):
         sx = frozenset(i for i in U if i < ws.n)
         sz = frozenset(i - ws.n for i in U if i >= ws.n)
@@ -121,9 +127,10 @@ def hk_candidate_strata(ws: WeightSystem, bound: int = STRATA_BOUND) -> list[HKS
             consistent[T] = hol_consistent(ws, T)
         if not consistent[T]:
             continue
-        out.append(
-            HKStratumCandidate(support_x=sx, support_z=sz, stabilizer=stabilizer(dws, U))
-        )
+        W = sx | sz
+        if W not in stabilizers:
+            stabilizers[W] = stabilizer(ws, W)
+        out.append(HKStratumCandidate(support_x=sx, support_z=sz, stabilizer=stabilizers[W]))
     trivial = (0, ())
     out.sort(
         key=lambda c: (

@@ -1,7 +1,11 @@
 """End-to-end command-line behavior: exit codes, payloads, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -210,3 +214,19 @@ def test_metric_pairs_rows(capsys):
     assert len(payload["pairs"]) == 2
     for row in payload["pairs"]:
         assert set(row) == {"g", "omega_I", "omega_J", "omega_K"}
+
+
+def test_version_metadata_is_imported_lazily():
+    # importing the CLI must not load importlib.metadata (about 1.75 MB of
+    # RSS); `hkquot.__version__` still resolves to a string on demand
+    code = (
+        "import sys, hkquot.cli\n"
+        "assert 'importlib.metadata' not in sys.modules, 'eager metadata import'\n"
+        "import hkquot\n"
+        "assert isinstance(hkquot.__version__, str)\n"
+        "assert 'importlib.metadata' in sys.modules\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr

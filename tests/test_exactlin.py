@@ -6,12 +6,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from hkquot.exactlin import (
     integer_primitive,
     kernel_basis,
     lp_maximize,
     matrix_rank,
+    open_cone_point,
     rref,
     smith_invariant_factors,
 )
@@ -97,6 +100,71 @@ def test_lp_random_instances_against_vertex_enumeration():
                 cv = sum(c * v for c, v in zip(cost, cand))
                 best = cv if best is None or cv > best else best
         assert best == val
+
+
+def lp_open_cone_feasible(rows: list[list[int]]) -> bool:
+    """max t s.t. r . y >= t, |y_j| <= 1, t <= 1: positive iff some y has
+    r . y > 0 for every row."""
+    d = len(rows[0])
+    A_ub = [[-F(v) for v in r] + [F(1)] for r in rows]
+    for j in range(d):
+        for sgn in (1, -1):
+            A_ub.append([F(sgn) if i == j else F(0) for i in range(d)] + [F(0)])
+    A_ub.append([F(0)] * d + [F(1)])
+    status, _, value = lp_maximize([F(0)] * d + [F(1)], A_ub, [F(0)] * len(rows) + [F(1)] * (2 * d + 1))
+    assert status == "optimal" and value >= 0
+    return value > 0
+
+
+@st.composite
+def cone_rows(draw) -> list[list[int]]:
+    """Integer rows in dimension 1..4, with zero rows and parallel and
+    opposite copies mixed in.  Half the draws instead orient every row to
+    pair nonnegatively with a hidden point and take no zero rows, so that
+    feasible systems are common."""
+    d = draw(st.sampled_from([1, 2, 3, 4]))
+    m = draw(st.integers(1, 12))
+    entry = st.integers(-3, 3)
+    hidden = draw(st.one_of(st.none(), st.lists(st.sampled_from([-2, -1, 1, 2]), min_size=d, max_size=d)))
+    rows: list[list[int]] = []
+    for _ in range(m):
+        kind = draw(st.sampled_from(["random"] * 6 + ["zero", "copy", "copy"]))
+        if kind == "zero" and hidden is None:
+            row = [0] * d
+        elif kind == "copy" and rows:
+            scale = draw(st.sampled_from([-2, -1, 1, 2, 3]))
+            row = [scale * v for v in draw(st.sampled_from(rows))]
+        else:
+            row = draw(st.lists(entry, min_size=d, max_size=d))
+        if hidden is not None and sum(a * b for a, b in zip(row, hidden)) < 0:
+            row = [-v for v in row]
+        rows.append(row)
+    return rows
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(cone_rows())
+@example([[1]])
+@example([[1], [-2]])
+@example([[1], [2], [3]])
+@example([[0]])
+@example([[0, 0, 0]])
+@example([[1, 0], [0, 0]])
+@example([[1, 2], [2, 4]])
+@example([[1, 2], [-1, -2]])
+@example([[1, 0], [-1, 1], [-1, -1]])
+@example([[1, 0, 0]])
+@example([[1, 0, 0, 0], [0, 1, 0, 0]])
+@example([[1, 1], [-1, 0], [0, -1], [1, 0]])
+@example([[1, 0, 0], [0, 1, 0], [-1, -1, 0]])
+def test_open_cone_point_matches_lp_oracle(rows):
+    y = open_cone_point(rows)
+    if y is not None:
+        assert len(y) == len(rows[0])
+        assert all(isinstance(v, F) for v in y)
+        assert all(sum(F(a) * b for a, b in zip(r, y)) > 0 for r in rows)
+    assert (y is not None) == lp_open_cone_feasible(rows)
 
 
 def test_rref_and_rank():

@@ -247,14 +247,16 @@ def test_destabilizer_outside_the_box():
         check_against_oracles(ws, v)
 
 
-def counting_lp(calls: list):
-    real = exactlin.lp_maximize
-
+def counting_calls(calls: list, real):
     def counting(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
     return counting
+
+
+def counting_lp(calls: list):
+    return counting_calls(calls, exactlin.lp_maximize)
 
 
 def test_cold_verdict_lp_budget(monkeypatch):
@@ -416,39 +418,43 @@ def test_chamber_walk_witnesses(walk_runs):
             assert supports == sorted(family, key=sorted)
 
 
-def test_chamber_walk_lp_budget(monkeypatch, walk_runs):
+def test_chamber_walk_issues_no_lp(monkeypatch, walk_runs):
     calls: list = []
+    solves: list = []
     monkeypatch.setattr(git_stability, "lp_maximize", counting_lp(calls))
     monkeypatch.setattr(exactlin, "lp_maximize", counting_lp(calls))
+    monkeypatch.setattr(git_stability, "open_cone_point", counting_calls(solves, exactlin.open_cone_point))
     git_stability._chamber_walk.cache_clear()
 
-    def lps(ws) -> int:
-        calls.clear()
+    def walk_solves(ws) -> int:
+        solves.clear()
         unstable_maximal_supports(ws)
-        return len(calls)
+        return len(solves)
 
     sigma1, sigma8 = hirzebruch_weight_system(1), hirzebruch_weight_system(8)
-    assert lps(sigma1) == 10
+    first = walk_solves(sigma1)
+    assert first > 0
     # the cotangent call right after the base call reuses the walk
-    assert lps(doubled_weights(sigma1)) == 0
-    assert lps(sigma8) == 9
-    assert lps(doubled_weights(sigma8)) == 0
+    assert walk_solves(doubled_weights(sigma1)) == 0
+    assert walk_solves(sigma8) > 0
+    assert walk_solves(doubled_weights(sigma8)) == 0
     # the memo holds one arrangement: back on Sigma_1 the walk runs again
-    assert lps(sigma1) == 10
-    # four lines in one plane: the rank test spares the LPs of empty cells
-    assert lps(COPLANAR[0]) == 60
-    git_stability._chamber_walk.cache_clear()
-    # base and cotangent walk together ask no more LPs than the oracle's
-    # walk of the base system alone, and only LPs that the oracle asks too
+    assert walk_solves(sigma1) == first
+    for ws in COPLANAR:
+        walk_solves(ws)
+        walk_solves(doubled_weights(ws))
+    # at most one open-cone solve per realized sign prefix, over the base
+    # and the cotangent call; every prefix of a realized cell is realized,
+    # and every realized prefix extends to a cell
     for run in walk_runs:
-        assert len(run.walk_lps) <= len(run.oracle_lps), run.ws
-        assert set(run.walk_lps) <= set(run.oracle_lps), run.ws
-    # at most one LP per realized sign prefix; every prefix of a realized
-    # cell is realized, and every realized prefix extends to a cell
-    for run in walk_runs:
+        assert run.walk_lps == [], run.ws
+        git_stability._chamber_walk.cache_clear()
+        n_solves = walk_solves(run.ws) + walk_solves(doubled_weights(run.ws))
         cells = run.walks[0][2]
         prefixes = {signs[:j] for signs, _ in cells for j in range(1, len(signs) + 1)}
-        assert len(run.walk_lps) <= len(prefixes), run.ws
+        assert n_solves <= len(prefixes), run.ws
+    git_stability._chamber_walk.cache_clear()
+    assert calls == []
 
 
 def test_unstable_supports_are_downward_closed():

@@ -14,9 +14,10 @@ from hkquot import (
     hol_moment,
     mu_hyperkahler,
     semistable_supports,
+    stabilizer,
     support,
 )
-from hkquot import strata_examples
+from hkquot import git_stability, strata_examples
 from hkquot.strata_examples import (
     CANDIDATE,
     CERTIFIED,
@@ -31,6 +32,8 @@ from hkquot.strata_examples import (
     slice_invariants,
     slice_point,
 )
+
+from oracles import random_weight_system
 
 F = Fraction
 
@@ -92,6 +95,35 @@ def test_hol_consistency_checked_once_per_overlap(monkeypatch):
             want.add((sx, sz))
     assert {(c.support_x, c.support_z) for c in got} == want
     assert len(got) == len(want) > 0
+
+
+def test_stabilizer_computed_once_per_ws_support(monkeypatch):
+    # stabilizer(dws, U) depends only on the lattice of the rows of U, which
+    # is the lattice of the ws rows on sx | sz: one Smith form per ws-support
+    rng = np.random.default_rng(23)
+    systems = [hirzebruch_weight_system(2), hirzebruch_weight_system(3)]
+    systems += [random_weight_system(rng, nmax=5) for _ in range(12)]
+    real = git_stability.smith_invariant_factors
+    calls = []
+
+    def counting(rows):
+        calls.append(rows)
+        return real(rows)
+
+    seen_finite = False
+    for ws in systems:
+        dws = doubled_weights(ws)
+        want = {U: stabilizer(dws, U) for U in semistable_supports(dws)}
+        calls.clear()
+        with monkeypatch.context() as mp:
+            mp.setattr(git_stability, "smith_invariant_factors", counting)
+            got = hk_candidate_strata(ws)
+        assert len(calls) <= len({c.support_x | c.support_z for c in got}) <= 2**ws.n
+        for c in got:
+            U = frozenset(c.support_x) | {ws.n + i for i in c.support_z}
+            assert c.stabilizer == want[U]
+            seen_finite |= bool(c.stabilizer.finite_invariants)
+    assert seen_finite
 
 
 def test_candidates_single_weight():
