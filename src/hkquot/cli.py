@@ -24,7 +24,7 @@ from .git_stability import (
     classify_point,
     kahler_strata,
     quotient_compact,
-    quotient_smooth,
+    strata_smoothness,
     unstable_maximal_supports,
 )
 from .hk_reduction import frame_report_json, horizontal_frame, reduced_form, reduced_metric
@@ -127,7 +127,8 @@ def _load_point(arg: str, mode: str):
 def cmd_analyze(cfg: RunConfig, weights: str) -> dict:
     ws = _load_weights(weights)
     kwargs = {} if cfg.bound is None else {"bound": cfg.bound}
-    smooth, offending = quotient_smooth(ws, **kwargs)
+    strata = kahler_strata(ws, **kwargs)
+    smooth, offending = strata_smoothness(strata)
     return {
         "schema": 1,
         "command": "analyze",
@@ -141,7 +142,7 @@ def cmd_analyze(cfg: RunConfig, weights: str) -> dict:
             "smooth": smooth,
             "offending_support": None if offending is None else sorted(offending),
         },
-        "kahler_strata": [s.to_json() for s in kahler_strata(ws, **kwargs)],
+        "kahler_strata": [s.to_json() for s in strata],
         "hk_candidates": [c.to_json() for c in hk_candidate_strata(ws, **kwargs)],
     }
 

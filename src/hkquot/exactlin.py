@@ -1,15 +1,17 @@
 """Exact rational linear algebra: simplex LP, open-cone points, RREF
-kernels, Smith normal form.
+kernels, coefficient signs of integer systems, Smith normal form.
 
-Everything here runs over ``fractions.Fraction`` (or plain ints for the
-Smith form) so the stability certificates and stabilizer invariants built
-on top are exact.  The LP is a textbook two-phase simplex with Bland's
-rule, which both terminates and makes vertex choices deterministic; the
-problem sizes in this package are tiny (tens of variables), so no effort
-is spent on performance.  Only the stability classifier in
-`git_stability` still solves LPs; the chamber walk asks the strict
-homogeneous systems it needs of `open_cone_point`, which uses a few exact
-dot products and kernels and no tableau.
+Everything here runs over ``fractions.Fraction``, or over plain ints for
+the Smith form and `solution_signs`, so the stability certificates and
+stabilizer invariants built on top are exact.  The LP is a textbook
+two-phase simplex with Bland's rule, which both terminates and makes
+vertex choices deterministic; the problem sizes in this package are tiny
+(tens of variables), and the simplex has not been tuned.  Only the
+stability classifier in `git_stability` still solves LPs; the chamber
+walk asks the strict homogeneous systems it needs of `open_cone_point`,
+which uses a few exact dot products and kernels and no tableau.  The
+positive-basis tests, run once per candidate basis, use `solution_signs`:
+fraction-free integer elimination, with no `Fraction` in its loop.
 """
 
 from __future__ import annotations
@@ -219,6 +221,40 @@ def rref(rows: Sequence[Sequence]) -> tuple[list[list[Fraction]], list[int]]:
         if r == len(mat):
             break
     return mat, pivots
+
+
+def solution_signs(cols: Sequence[Sequence[int]], b: Sequence[int]) -> Optional[tuple[int, ...]]:
+    """Signs of the coefficients c with sum_j c_j cols[j] = b, or None.
+
+    None unless the integer columns are linearly independent and the
+    integer vector b lies in their span (then c is unique).  Fraction-free
+    Gauss-Jordan elimination (Bareiss 1968) on [cols | b]: the step on
+    column p replaces each other row by (P row - a row_p) / prev, with P
+    the new pivot and prev the last one, and the division is exact, since
+    every entry is then a minor of the input.  After the last step every
+    pivot row has the last pivot D on the diagonal and D c_j in its last
+    entry (Cramer's rule), so sign(c_j) is read off without leaving the
+    integers.
+    """
+    r = len(cols)
+    mat = [[col[a] for col in cols] + [b[a]] for a in range(len(b))]
+    prev = 1
+    for p in range(r):
+        sel = next((i for i in range(p, len(mat)) if mat[i][p]), None)
+        if sel is None:
+            return None
+        mat[p], mat[sel] = mat[sel], mat[p]
+        row = mat[p]
+        piv = row[p]
+        for i, other in enumerate(mat):
+            if i != p:
+                a = other[p]
+                mat[i] = [(piv * x - a * y) // prev for x, y in zip(other, row)]
+        prev = piv
+    if any(row[r] for row in mat[r:]):
+        return None
+    sgn = 1 if prev > 0 else -1
+    return tuple(sgn if row[r] > 0 else -sgn if row[r] < 0 else 0 for row in mat[:r])
 
 
 def matrix_rank(rows: Sequence[Sequence]) -> int:

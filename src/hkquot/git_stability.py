@@ -5,10 +5,16 @@ Everything is decided by exact linear algebra on the combinatorial data
 programming in the classifier only.  Whether a support S is semistable,
 theta in Cone{beta^i : i in S}, is pure linear algebra: by Caratheodory
 it holds iff S contains a positive basis, a set T of at most k independent
-weights with theta a strictly positive combination of beta_T, found by
-one exact rref per candidate T.  `semistable_support`,
-`semistable_supports` (the up-closure of the bases) and `quotient_compact`
-use no LP.  A verdict with certificate costs at most two LPs:
+weights with theta a strictly positive combination of beta_T.  One
+fraction-free integer elimination per candidate T (`solution_signs`)
+gives the sign of every coefficient; the all-positive T are the positive
+bases, and the same signed T, read with their signs, are the positive
+bases of the cotangent system (beta, -beta).  That pass is memoized for
+one system, so `semistable_supports` (the up-closure of the bases, on
+bitmasks), `kahler_strata` and the cotangent supports of
+`cotangent_semistable_masks` share it.  `semistable_support` and
+`quotient_compact` stop at the first positive basis.  None of them
+solves an LP or does `Fraction` arithmetic per candidate.  A verdict with certificate costs at most two LPs:
 
 * a point v is semistable iff theta lies in Cone{beta^i : i in S},
   S = supp(v) (Farkas dual of the Hilbert-Mumford inequality); the
@@ -48,7 +54,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import inf
+from math import inf, lcm
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import BoundExceededError, DimensionMismatchError
@@ -59,6 +65,7 @@ from .exactlin import (
     open_cone_point,
     rref,
     smith_invariant_factors,
+    solution_signs,
 )
 from .rep_core import AmbientPoint, Cocharacter, WeightSystem, support
 
@@ -162,27 +169,31 @@ def mu_weight(ws: WeightSystem, v: AmbientPoint, xi) -> Fraction | float:
     return Fraction(ws.theta_pairing(exact_xi))
 
 
-def _positive_bases(ws: WeightSystem, idx: Sequence[int]) -> Iterator[tuple[int, ...]]:
-    """Each T within idx, |T| <= k, with beta_T linearly independent and
-    theta = sum_{i in T} c_i beta^i for some c > 0; T = () when theta = 0.
+def _signed_bases(
+    ws: WeightSystem, idx: Sequence[int]
+) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """(T, sign c) for each T within idx, |T| <= k, with beta_T linearly
+    independent and theta = sum_{i in T} c_i beta^i with every c_i != 0;
+    T = () when theta = 0.
 
-    By Caratheodory, theta lies in Cone{beta^i : i in S} iff S contains
-    such a T.  The rref of [beta_T | theta] has pivots exactly 0..r-1 iff
-    beta_T is independent and theta lies in its span, and its last column
-    then holds the unique coefficients c.
+    T is a positive basis when every c_i > 0.  By Caratheodory, theta lies
+    in Cone{beta^i : i in S} iff S contains a positive basis.  The signs
+    come from one fraction-free integer elimination of [beta_T | theta]
+    (`solution_signs`), with theta scaled once by the lcm of its
+    denominators.
     """
+    den = lcm(*(t.denominator for t in ws.theta))
+    theta = [int(t * den) for t in ws.theta]
     for r in range(min(ws.rank, len(idx)) + 1):
         for T in combinations(idx, r):
-            red, pivots = rref(
-                [[ws.weights[i][a] for i in T] + [ws.theta[a]] for a in range(ws.rank)]
-            )
-            if pivots == list(range(r)) and all(red[j][r] > 0 for j in range(r)):
-                yield T
+            signs = solution_signs([ws.weights[i] for i in T], theta)
+            if signs is not None and all(signs):
+                yield T, signs
 
 
 def semistable_support(ws: WeightSystem, S: Iterable[int]) -> bool:
     """True iff theta lies in Cone{beta^i : i in S}: S holds a positive basis."""
-    return next(_positive_bases(ws, sorted(set(S))), None) is not None
+    return any(min(signs, default=1) > 0 for _, signs in _signed_bases(ws, sorted(set(S))))
 
 
 def polystable_support(ws: WeightSystem, S: Iterable[int]) -> bool:
@@ -462,27 +473,64 @@ def stabilizer(ws: WeightSystem, S: Iterable[int]) -> StabilizerInfo:
     )
 
 
-def semistable_supports(ws: WeightSystem, bound: int = DEFAULT_BOUND) -> list[frozenset]:
-    """All semistable supports: the up-closure of the positive bases.
+@lru_cache(maxsize=1)
+def _basis_masks(ws: WeightSystem) -> tuple[tuple[int, int], ...]:
+    """The signed bases of ws (see `_signed_bases`) as bitmask pairs
+    ({i : c_i > 0}, {i : c_i < 0}).
 
-    Semistability is up-closed in the support, and S is semistable iff it
-    contains a positive basis (see `_positive_bases`).  Output is sorted
-    lexicographically.
+    This one pass serves ws and its cotangent system alike.  The memo
+    holds one system, so `analyze` enumerates once, and nothing is kept
+    from one weight system to the next.
     """
-    if ws.n > bound:
-        raise BoundExceededError(f"n={ws.n} exceeds enumeration bound {bound}")
-    full = (1 << ws.n) - 1
+    out = []
+    for T, signs in _signed_bases(ws, range(ws.n)):
+        pos = neg = 0
+        for i, sgn in zip(T, signs):
+            if sgn > 0:
+                pos |= 1 << i
+            else:
+                neg |= 1 << i
+        out.append((pos, neg))
+    return tuple(out)
+
+
+def _up_closure(bases: Iterable[int], n: int) -> set[int]:
+    """Every n-bit mask that contains one of the masks `bases`."""
+    full = (1 << n) - 1
     masks: set[int] = set()
-    for T in _positive_bases(ws, range(ws.n)):
-        base = sum(1 << i for i in T)
+    for base in bases:
         rest = sub = full & ~base
         while True:  # every submask of rest, rest itself down to 0
             masks.add(base | sub)
             if not sub:
                 break
             sub = (sub - 1) & rest
-    out = [frozenset(i for i in range(ws.n) if m >> i & 1) for m in masks]
-    return sorted(out, key=lambda s: (sorted(s), len(s)))
+    return masks
+
+
+def semistable_supports(ws: WeightSystem, bound: int = DEFAULT_BOUND) -> list[frozenset]:
+    """All semistable supports: the up-closure of the positive bases.
+
+    Semistability is up-closed in the support, and S is semistable iff it
+    contains a positive basis (see `_signed_bases`).  Output is sorted
+    lexicographically.
+    """
+    if ws.n > bound:
+        raise BoundExceededError(f"n={ws.n} exceeds enumeration bound {bound}")
+    masks = _up_closure((pos for pos, neg in _basis_masks(ws) if not neg), ws.n)
+    return sorted((frozenset(i for i in range(ws.n) if m >> i & 1) for m in masks), key=sorted)
+
+
+def cotangent_semistable_masks(ws: WeightSystem) -> set[int]:
+    """The semistable supports of `doubled_weights(ws)` as 2n-bit masks,
+    bit n + i standing for the fiber coordinate z_i.
+
+    The doubled weights are (beta, -beta) with the same theta.  A positive
+    basis of them never holds both i and n + i, whose weights are
+    opposite, so it is a signed basis of ws with i taken for c_i > 0 and
+    n + i for c_i < 0; theta = 0 gives the empty basis for both.
+    """
+    return _up_closure((pos | neg << ws.n for pos, neg in _basis_masks(ws)), 2 * ws.n)
 
 
 def quotient_smooth(
@@ -493,10 +541,14 @@ def quotient_smooth(
     Otherwise returns (False, S) for the first offending semistable
     support in lexicographic order.
     """
-    for S in semistable_supports(ws, bound):
-        if not stabilizer(ws, S).is_trivial:
-            return False, S
-    return True, None
+    return strata_smoothness(kahler_strata(ws, bound))
+
+
+def strata_smoothness(strata: Sequence[StratumRecord]) -> tuple[bool, Optional[frozenset]]:
+    """`quotient_smooth` read off `kahler_strata`: the offending support is
+    the lexicographically first one outside the open stratum."""
+    offending = min((rec.supports[0] for rec in strata if not rec.is_open), key=sorted, default=None)
+    return offending is None, offending
 
 
 def quotient_compact(ws: WeightSystem) -> bool:

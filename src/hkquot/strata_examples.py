@@ -34,9 +34,9 @@ from .git_stability import (
     UNSTABLE,
     StabilizerInfo,
     classify_point,
+    cotangent_semistable_masks,
     mu_weight,
     semistable_support,
-    semistable_supports,
     stabilizer,
     unstable_maximal_supports,
 )
@@ -109,38 +109,45 @@ def hk_candidate_strata(ws: WeightSystem, bound: int = STRATA_BOUND) -> list[HKS
     """Support pairs passing the exact necessary conditions, grouped by
     stabilizer signature (trivial stabilizer first).
 
-    The doubled rows on U are the rows of ws on sx | sz, some negated or
-    repeated, so they span the same lattice and stabilizer(dws, U) equals
-    stabilizer(ws, sx | sz): one Smith form per ws-support, not per pair.
+    The doubled supports come as bitmasks from ws's own positive-basis
+    pass (`cotangent_semistable_masks`), x in the low n bits and z in the
+    high ones.  The doubled rows on U are the rows of ws on sx | sz, some
+    negated or repeated, so they span the same lattice and
+    stabilizer(dws, U) equals stabilizer(ws, sx | sz): one Smith form per
+    ws-support, not per pair.
     """
     if ws.n > bound:
         raise BoundExceededError(f"n = {ws.n} exceeds the enumeration bound {bound}")
-    dws = doubled_weights(ws)
-    out = []
-    consistent: dict[frozenset, bool] = {}
-    stabilizers: dict[frozenset, StabilizerInfo] = {}
-    for U in semistable_supports(dws, bound=2 * bound):
-        sx = frozenset(i for i in U if i < ws.n)
-        sz = frozenset(i - ws.n for i in U if i >= ws.n)
-        T = sx & sz
+    n = ws.n
+    full = (1 << n) - 1
+    members: dict[int, tuple[int, ...]] = {}
+    consistent: dict[int, bool] = {}
+    stabilizers: dict[int, StabilizerInfo] = {}
+
+    def indices(mask: int) -> tuple[int, ...]:
+        if mask not in members:
+            members[mask] = tuple(i for i in range(n) if mask >> i & 1)
+        return members[mask]
+
+    pairs = []
+    for U in cotangent_semistable_masks(ws):
+        x, z = U & full, U >> n
+        T = x & z
         if T not in consistent:
-            consistent[T] = hol_consistent(ws, T)
+            consistent[T] = hol_consistent(ws, indices(T))
         if not consistent[T]:
             continue
-        W = sx | sz
+        W = x | z
         if W not in stabilizers:
-            stabilizers[W] = stabilizer(ws, W)
-        out.append(HKStratumCandidate(support_x=sx, support_z=sz, stabilizer=stabilizers[W]))
+            stabilizers[W] = stabilizer(ws, indices(W))
+        pairs.append((stabilizers[W], indices(x), indices(z)))
     trivial = (0, ())
-    out.sort(
-        key=lambda c: (
-            c.stabilizer.signature != trivial,
-            c.stabilizer.signature,
-            sorted(c.support_x),
-            sorted(c.support_z),
-        )
-    )
-    return out
+    pairs.sort(key=lambda p: (p[0].signature != trivial, p[0].signature, p[1], p[2]))
+    sets = {idx: frozenset(idx) for idx in members.values()}
+    return [
+        HKStratumCandidate(support_x=sets[x], support_z=sets[z], stabilizer=info)
+        for info, x, z in pairs
+    ]
 
 
 def _sample_on_hol_zero(

@@ -7,11 +7,13 @@ package is only meaningful if these paths share no code with it.
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from hkquot import AmbientPoint, WeightSystem
-from hkquot.exactlin import integer_primitive, lp_maximize
+from hkquot import AmbientPoint, WeightSystem, semistable_supports, stabilizer
+from hkquot.exactlin import integer_primitive, lp_maximize, rref
 
 BOX = 10
 
@@ -78,6 +80,37 @@ def lp_semistable_support(ws: WeightSystem, support) -> bool:
         b_eq=list(ws.theta),
     )
     return status == "optimal"
+
+
+def rref_positive_bases(ws: WeightSystem, idx: Sequence[int]) -> Iterator[tuple[int, ...]]:
+    """Each T within idx, |T| <= k, with beta_T linearly independent and
+    theta = sum_{i in T} c_i beta^i for some c > 0; T = () when theta = 0.
+
+    By Caratheodory, theta lies in Cone{beta^i : i in S} iff S contains
+    such a T.  The rref of [beta_T | theta] has pivots exactly 0..r-1 iff
+    beta_T is independent and theta lies in its span, and its last column
+    then holds the unique coefficients c.
+    """
+    for r in range(min(ws.rank, len(idx)) + 1):
+        for T in combinations(idx, r):
+            red, pivots = rref(
+                [[ws.weights[i][a] for i in T] + [ws.theta[a]] for a in range(ws.rank)]
+            )
+            if pivots == list(range(r)) and all(red[j][r] > 0 for j in range(r)):
+                yield T
+
+
+def loop_quotient_smooth(ws: WeightSystem) -> tuple[bool, Optional[frozenset]]:
+    """The first semistable support, in lexicographic order, whose
+    stabilizer is not trivial, by one Smith form per support in turn.
+
+    It takes `semistable_supports` and `stabilizer` from the package, so
+    it checks only how `quotient_smooth` reads the answer off the strata.
+    """
+    for S in semistable_supports(ws):
+        if not stabilizer(ws, S).is_trivial:
+            return False, S
+    return True, None
 
 
 def lp_quotient_compact(ws: WeightSystem) -> bool:

@@ -166,6 +166,23 @@ def test_parse_errors_exit_2(capsys):
     assert exc.value.code == 2
 
 
+def test_analyze_bound_errors(capsys):
+    # --bound caps n in every enumeration of analyze: the base system's
+    # first, then the cotangent walk's 2n coordinates
+    code, full, _ = run(capsys, "analyze", HIRZEBRUCH1)
+    assert code == 0
+    for bound, n in ((-1, 4), (0, 4), (3, 4), (4, 8), (7, 8)):
+        code, out, err = run(capsys, "--bound", str(bound), "analyze", HIRZEBRUCH1)
+        assert (code, out) == (2, "")
+        assert err == f"precondition error: n={n} exceeds enumeration bound {bound}\n"
+    for bound in (8, 12, 20):
+        assert run(capsys, "--bound", str(bound), "analyze", HIRZEBRUCH1) == (0, full, "")
+    empty = json.dumps({"rank": 1, "weights": [], "theta": ["0"]})
+    assert run(capsys, "--bound", "0", "analyze", empty)[0] == 0
+    code, _, err = run(capsys, "--bound", "-1", "analyze", empty)
+    assert code == 2 and "n=0 exceeds enumeration bound -1" in err
+
+
 def test_output_is_byte_deterministic(capsys):
     # the metric report's frame basis comes from LAPACK, so pin it as well
     point = json.dumps({"x": [0, 0, 1, 0], "z": [[0.7, 0.2], [0.3, -0.5], 0, 1]})

@@ -17,6 +17,7 @@ from hkquot.exactlin import (
     open_cone_point,
     rref,
     smith_invariant_factors,
+    solution_signs,
 )
 
 F = Fraction
@@ -165,6 +166,51 @@ def test_open_cone_point_matches_lp_oracle(rows):
         assert all(isinstance(v, F) for v in y)
         assert all(sum(F(a) * b for a, b in zip(r, y)) > 0 for r in rows)
     assert (y is not None) == lp_open_cone_feasible(rows)
+
+
+@st.composite
+def column_systems(draw):
+    """Integer columns and a right-hand side: dependent columns, b in the
+    span (some coefficients 0), b = 0 and b outside the span all occur."""
+    k = draw(st.integers(1, 4))
+    r = draw(st.integers(0, k + 1))
+    m = draw(st.sampled_from([2, 9, 10**6]))
+    entry = st.integers(-m, m)
+    cols = []
+    for _ in range(r):
+        if cols and draw(st.integers(0, 3)) == 0:
+            a, b = draw(st.sampled_from(cols)), draw(st.sampled_from(cols))
+            s, t = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
+            cols.append([s * x + t * y for x, y in zip(a, b)])
+        else:
+            cols.append(draw(st.lists(entry, min_size=k, max_size=k)))
+    kind = draw(st.sampled_from(["span", "span", "zero", "free"]))
+    if kind == "span":
+        c = draw(st.lists(st.integers(-3, 3), min_size=r, max_size=r))
+        b = [sum(ci * col[a] for ci, col in zip(c, cols)) for a in range(k)]
+    elif kind == "zero":
+        b = [0] * k
+    else:
+        b = draw(st.lists(entry, min_size=k, max_size=k))
+    return cols, b
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(column_systems())
+@example(([], [0, 0]))
+@example(([], [1, 0]))
+@example(([[0, 0]], [0, 0]))
+@example(([[1, 2], [2, 4]], [3, 6]))
+@example(([[2, 0], [0, 3]], [-2, 0]))
+@example(([[1], [1]], [1]))
+def test_solution_signs_match_rref(system):
+    cols, b = system
+    r = len(cols)
+    red, pivots = rref([[col[a] for col in cols] + [b[a]] for a in range(len(b))])
+    want = None
+    if pivots == list(range(r)):
+        want = tuple((red[j][r] > 0) - (red[j][r] < 0) for j in range(r))
+    assert solution_signs(cols, b) == want
 
 
 def test_rref_and_rank():

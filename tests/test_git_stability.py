@@ -1,5 +1,6 @@
 """Exact GIT layer: mu-weights, verdicts with certificates, loci, stabilizers."""
 
+import json
 import math
 from fractions import Fraction
 from itertools import combinations
@@ -7,6 +8,8 @@ from typing import NamedTuple
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from hkquot import (
     AmbientPoint,
@@ -29,7 +32,15 @@ from hkquot import (
     unstable_maximal_supports,
 )
 from hkquot import exactlin, git_stability
-from hkquot.git_stability import STABLE, STRICTLY_SEMISTABLE, UNSTABLE
+from hkquot.cli import RunConfig, cmd_analyze
+from hkquot.git_stability import (
+    STABLE,
+    STRICTLY_SEMISTABLE,
+    UNSTABLE,
+    cotangent_semistable_masks,
+    strata_smoothness,
+)
+from hkquot.rep_core import weight_system_to_json
 from hkquot.strata_examples import hirzebruch_weight_system
 
 import oracles
@@ -38,9 +49,11 @@ from oracles import (
     box_polystable_support,
     dfs_unstable_supports,
     lp_quotient_compact,
+    loop_quotient_smooth,
     lp_semistable_support,
     random_ambient,
     random_weight_system,
+    rref_positive_bases,
 )
 
 F = Fraction
@@ -508,3 +521,136 @@ def test_polystable_support_flags():
     ray = WeightSystem(1, ((1,), (1,)), (F(0),))
     v = classify_support(ray, frozenset({0}))
     assert v.status == STRICTLY_SEMISTABLE and not v.polystable
+
+
+@st.composite
+def small_systems(draw):
+    """Weight systems with n <= 5 and k <= 3 that often hold zero weights,
+    repeated and opposite lines, rank-deficient supports (all weights in a
+    hyperplane), theta = 0 or theta on the ray of a weight."""
+    k = draw(st.integers(1, 3))
+    n = draw(st.integers(0, 5))
+    flat = k > 1 and draw(st.integers(0, 3)) == 0
+    weights: list[tuple[int, ...]] = []
+    for _ in range(n):
+        kind = draw(st.sampled_from(["random"] * 4 + ["zero", "line"]))
+        if kind == "zero":
+            w = (0,) * k
+        elif kind == "line" and weights:
+            scale = draw(st.sampled_from([-2, -1, 1, 2]))
+            w = tuple(scale * v for v in draw(st.sampled_from(weights)))
+        else:
+            w = tuple(draw(st.lists(st.integers(-2, 2), min_size=k, max_size=k)))
+            if flat:
+                w = w[:-1] + (0,)
+        weights.append(w)
+    kind = draw(st.sampled_from(["free", "free", "zero", "ray"]))
+    if kind == "zero":
+        theta = (F(0),) * k
+    elif kind == "ray" and weights:
+        scale = F(draw(st.integers(1, 3)), draw(st.integers(1, 2)))
+        theta = tuple(scale * v for v in draw(st.sampled_from(weights)))
+    else:
+        theta = tuple(F(draw(st.integers(-4, 4)), draw(st.integers(1, 4))) for _ in range(k))
+    return WeightSystem(k, tuple(weights), theta)
+
+
+def masks_to_sets(masks, n: int) -> list[frozenset]:
+    return sorted((frozenset(i for i in range(n) if m >> i & 1) for m in masks), key=sorted)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(small_systems(), st.data())
+def test_signed_basis_pass_matches_oracles(ws, data):
+    # the integer pass finds the rref oracle's positive bases, in order
+    signed = list(git_stability._signed_bases(ws, range(ws.n)))
+    assert [T for T, signs in signed if min(signs, default=1) > 0] == list(
+        rref_positive_bases(ws, range(ws.n))
+    )
+    # and, read with its signs, the positive bases of the cotangent system
+    n, dws = ws.n, doubled_weights(ws)
+    doubled_bases = {
+        frozenset(i if sgn > 0 else n + i for i, sgn in zip(T, signs)) for T, signs in signed
+    }
+    assert doubled_bases == set(map(frozenset, rref_positive_bases(dws, range(2 * n))))
+    derived = masks_to_sets(cotangent_semistable_masks(ws), 2 * n)
+    assert derived == semistable_supports(dws)
+    # exact LP membership on every doubled support for n <= 3, else a sample
+    if n <= 3:
+        supports = list(all_supports(dws))
+    else:
+        picks = data.draw(st.lists(st.integers(0, 4**n - 1), min_size=1, max_size=12))
+        supports = [frozenset(i for i in range(2 * n) if m >> i & 1) for m in picks]
+    derived_set = set(derived)
+    for U in supports:
+        assert (U in derived_set) == lp_semistable_support(dws, U), (ws, sorted(U))
+
+
+def test_quotient_smooth_matches_loop_oracle():
+    # the offending support, read off the strata, is the one the old
+    # one-Smith-form-per-support loop reported
+    rng = np.random.default_rng(31)
+    systems = [random_weight_system(rng) for _ in range(150)] + list(DEGENERATE)
+    outcomes = set()
+    for ws in systems:
+        want = loop_quotient_smooth(ws)
+        assert quotient_smooth(ws) == want
+        assert strata_smoothness(kahler_strata(ws)) == want
+        outcomes.add(want[0])
+    assert outcomes == {True, False}
+
+
+def analyze_json(ws: WeightSystem) -> str:
+    return json.dumps(weight_system_to_json(ws))
+
+
+def test_analyze_semistable_budget(monkeypatch, hirzebruch1):
+    rng = np.random.default_rng(37)
+    systems = [hirzebruch1, hirzebruch_weight_system(2)] + list(DEGENERATE)
+    systems += [random_weight_system(rng, nmax=5) for _ in range(6)]
+    rrefs, stabs = [], []
+    monkeypatch.setattr(git_stability, "rref", counting_calls(rrefs, exactlin.rref))
+    monkeypatch.setattr(
+        git_stability, "stabilizer", counting_calls(stabs, git_stability.stabilizer)
+    )
+    for ws in systems:
+        # the semistable paths take no rref: cmd_analyze makes only the
+        # walk's own rank tests
+        git_stability._chamber_walk.cache_clear()
+        rrefs.clear()
+        unstable_maximal_supports(ws)
+        unstable_maximal_supports(doubled_weights(ws))
+        walk_rrefs = len(rrefs)
+        git_stability._chamber_walk.cache_clear()
+        git_stability._basis_masks.cache_clear()
+        rrefs.clear()
+        stabs.clear()
+        cmd_analyze(RunConfig(), analyze_json(ws))
+        assert len(rrefs) == walk_rrefs
+        # one signed-basis pass serves ws and the cotangent system
+        assert git_stability._basis_masks.cache_info().misses == 1
+        # the strata behind `smooth` and `kahler_strata` are computed once
+        supports = [frozenset(args[1]) for args in stabs]
+        assert sorted(supports, key=sorted) == semistable_supports(ws)
+    rrefs.clear()
+    for ws in systems[:3]:
+        semistable_support(ws, range(ws.n))
+        semistable_supports(ws)
+        quotient_compact(ws)
+        kahler_strata(ws)
+        quotient_smooth(ws)
+        hk_candidate_strata(ws)
+    assert rrefs == []
+    git_stability._basis_masks.cache_clear()
+
+
+def test_signed_basis_memo_holds_one_system(hirzebruch1):
+    # systems A, B, A: the memo holds one system, so each is a fresh pass,
+    # and A's output does not depend on B in between
+    sigma2 = hirzebruch_weight_system(2)
+    git_stability._basis_masks.cache_clear()
+    outs = [cmd_analyze(RunConfig(), analyze_json(ws)) for ws in (hirzebruch1, sigma2, hirzebruch1)]
+    assert git_stability._basis_masks.cache_info().misses == 3
+    assert outs[0] == outs[2] != outs[1]
+    git_stability._basis_masks.cache_clear()

@@ -95,6 +95,13 @@ def test_hol_consistency_checked_once_per_overlap(monkeypatch):
             want.add((sx, sz))
     assert {(c.support_x, c.support_z) for c in got} == want
     assert len(got) == len(want) > 0
+    # in the documented order: trivial stabilizer first, then by signature
+    # and the sorted supports
+    trivial = (0, ())
+    assert got == sorted(got, key=lambda c: (
+        c.stabilizer.signature != trivial, c.stabilizer.signature,
+        sorted(c.support_x), sorted(c.support_z)))
+    assert len({c.stabilizer.signature for c in got}) > 1
 
 
 def test_stabilizer_computed_once_per_ws_support(monkeypatch):
