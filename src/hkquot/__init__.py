@@ -2,7 +2,8 @@
 
 A torus (C*)^k acts on C^n through integer weights; a rational character
 theta fixes the stability condition and the moment-map level.  The package
-decides stability exactly (rational linear programming), minimizes the
+decides stability exactly (by exact linear algebra, with linear programs
+left only in the classifier of single points and supports), minimizes the
 Kempf-Ness functional numerically, builds reduced metrics and Kahler forms
 at moment-map zeros of the cotangent doubling, and enumerates candidate
 strata of the resulting quotients.

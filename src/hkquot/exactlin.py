@@ -1,23 +1,24 @@
 """Exact rational linear algebra: simplex LP, open-cone points, RREF
 kernels, coefficient signs of integer systems, Smith normal form.
 
-Everything here runs over ``fractions.Fraction``, or over plain ints for
-the Smith form and `solution_signs`, so the stability certificates and
-stabilizer invariants built on top are exact.  The LP is a textbook
-two-phase simplex with Bland's rule, which both terminates and makes
-vertex choices deterministic; the problem sizes in this package are tiny
-(tens of variables), and the simplex has not been tuned.  Only the
+Nothing here uses floating point, so the stability certificates and
+stabilizer invariants built on top are exact.  One fraction-free
+Gauss-Jordan elimination over the integers (`_eliminate`) is behind
+`rref`, `matrix_rank`, `kernel_basis` and `solution_signs`; `Fraction`
+appears only in the results it hands back, in the simplex tableau and in
+`open_cone_point`, and the Smith form works on plain ints.  The LP is a
+textbook two-phase simplex with Bland's rule, which both terminates and
+makes vertex choices deterministic; the problem sizes in this package are
+tiny (tens of variables), and the simplex has not been tuned.  Only the
 stability classifier in `git_stability` still solves LPs; the chamber
 walk asks the strict homogeneous systems it needs of `open_cone_point`,
-which uses a few exact dot products and kernels and no tableau.  The
-positive-basis tests, run once per candidate basis, use `solution_signs`:
-fraction-free integer elimination, with no `Fraction` in its loop.
+which uses a few exact dot products and kernels and no tableau.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Optional, Sequence
 
 Status = str  # "optimal" | "infeasible" | "unbounded"
@@ -197,85 +198,81 @@ def _dot(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
     return sum((x * y for x, y in zip(a, b)), _ZERO)
 
 
-def rref(rows: Sequence[Sequence]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form over the rationals; returns (R, pivot columns)."""
-    mat = _frac_rows(rows)
-    if not mat:
-        return [], []
-    ncols = len(mat[0])
+def _eliminate(rows: Sequence[Sequence]) -> tuple[list[list[int]], list[int], int]:
+    """Fraction-free Gauss-Jordan elimination; returns (M, pivot columns, D).
+
+    Each row is made integer first, a rational row scaled by the lcm of
+    its denominators, which leaves the row space unchanged.  The step on
+    a pivot P in column c replaces every other row by (P row - a pivot
+    row) / prev, with a its entry in column c and prev the last pivot;
+    the division is exact, since every entry is then a minor of the input
+    (Bareiss 1968; Nakos, Turner and Williams 1997).  At the end M / D is
+    the reduced row echelon form, D the last pivot (1 if there is none).
+    """
+    mat = []
+    for row in rows:
+        vals = [v if type(v) is int else Fraction(v) for v in row]
+        den = lcm(*(v.denominator for v in vals))
+        mat.append([v.numerator * (den // v.denominator) for v in vals])
     pivots: list[int] = []
-    r = 0
-    for col in range(ncols):
-        sel = next((i for i in range(r, len(mat)) if mat[i][col] != 0), None)
+    prev = 1
+    for col in range(len(mat[0]) if mat else 0):
+        r = len(pivots)
+        sel = next((i for i in range(r, len(mat)) if mat[i][col]), None)
         if sel is None:
             continue
         mat[r], mat[sel] = mat[sel], mat[r]
-        inv = 1 / mat[r][col]
-        mat[r] = [v * inv for v in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][col] != 0:
-                f = mat[i][col]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+        row = mat[r]
+        piv = row[col]
+        for i, other in enumerate(mat):
+            if i != r:
+                a = other[col]
+                mat[i] = [(piv * x - a * y) // prev for x, y in zip(other, row)]
+        prev = piv
         pivots.append(col)
-        r += 1
-        if r == len(mat):
-            break
-    return mat, pivots
+    return mat, pivots, prev
+
+
+def rref(rows: Sequence[Sequence]) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form over the rationals; returns (R, pivot columns)."""
+    mat, pivots, d = _eliminate(rows)
+    return [[Fraction(v, d) for v in row] for row in mat], pivots
 
 
 def solution_signs(cols: Sequence[Sequence[int]], b: Sequence[int]) -> Optional[tuple[int, ...]]:
     """Signs of the coefficients c with sum_j c_j cols[j] = b, or None.
 
     None unless the integer columns are linearly independent and the
-    integer vector b lies in their span (then c is unique).  Fraction-free
-    Gauss-Jordan elimination (Bareiss 1968) on [cols | b]: the step on
-    column p replaces each other row by (P row - a row_p) / prev, with P
-    the new pivot and prev the last one, and the division is exact, since
-    every entry is then a minor of the input.  After the last step every
-    pivot row has the last pivot D on the diagonal and D c_j in its last
+    integer vector b lies in their span (then c is unique), that is unless
+    the pivots of [cols | b] are exactly its first len(cols) columns.
+    Pivot row j of the eliminated matrix then holds D c_j in its last
     entry (Cramer's rule), so sign(c_j) is read off without leaving the
     integers.
     """
     r = len(cols)
-    mat = [[col[a] for col in cols] + [b[a]] for a in range(len(b))]
-    prev = 1
-    for p in range(r):
-        sel = next((i for i in range(p, len(mat)) if mat[i][p]), None)
-        if sel is None:
-            return None
-        mat[p], mat[sel] = mat[sel], mat[p]
-        row = mat[p]
-        piv = row[p]
-        for i, other in enumerate(mat):
-            if i != p:
-                a = other[p]
-                mat[i] = [(piv * x - a * y) // prev for x, y in zip(other, row)]
-        prev = piv
-    if any(row[r] for row in mat[r:]):
+    mat, pivots, d = _eliminate([[col[a] for col in cols] + [b[a]] for a in range(len(b))])
+    if pivots != list(range(r)):
         return None
-    sgn = 1 if prev > 0 else -1
-    return tuple(sgn if row[r] > 0 else -sgn if row[r] < 0 else 0 for row in mat[:r])
+    return tuple((v > 0) - (v < 0) for v in (d * row[r] for row in mat[:r]))
 
 
 def matrix_rank(rows: Sequence[Sequence]) -> int:
-    return len(rref(rows)[1])
+    return len(_eliminate(rows)[1])
 
 
 def kernel_basis(rows: Sequence[Sequence], ncols: Optional[int] = None) -> list[list[Fraction]]:
     """Rational basis of the right kernel {v : rows @ v = 0}."""
-    mat = _frac_rows(rows)
+    mat, pivots, d = _eliminate(rows)
     if ncols is None:
         ncols = len(mat[0]) if mat else 0
-    if not mat:
-        return [[_ONE if i == j else _ZERO for j in range(ncols)] for i in range(ncols)]
-    red, pivots = rref(mat)
-    free = [j for j in range(ncols) if j not in pivots]
     basis = []
-    for f in free:
+    for f in range(ncols):
+        if f in pivots:
+            continue
         v = [_ZERO] * ncols
         v[f] = _ONE
         for r, p in enumerate(pivots):
-            v[p] = -red[r][f]
+            v[p] = Fraction(-mat[r][f], d)
         basis.append(v)
     return basis
 

@@ -62,8 +62,8 @@ from .exactlin import (
     integer_primitive,
     kernel_basis,
     lp_maximize,
+    matrix_rank,
     open_cone_point,
-    rref,
     smith_invariant_factors,
     solution_signs,
 )
@@ -448,7 +448,7 @@ def _chamber_walk(
                 children[0] = integer_primitive(
                     [s * (d * a - d2 * b) for a, b in zip(other, xi)]
                 )
-        elif len(rref(zero_basis)[1]) == len(zeros):
+        elif matrix_rank(zero_basis) == len(zeros):
             children = {0: xi}
             zero_basis = zeros
         else:

@@ -77,9 +77,6 @@ class ReducedFrame:
     def dim(self) -> int:
         return self.horizontal.shape[0]
 
-    def base_vector(self) -> np.ndarray:
-        return self.base_point.real_vector()
-
     def project(self, u: np.ndarray) -> np.ndarray:
         """Orthogonal projection onto the horizontal space."""
         u = np.asarray(u, dtype=float)

@@ -214,19 +214,10 @@ def flow_trace(ws: WeightSystem, v: AmbientPoint, xi, t_grid: Sequence[float]) -
     return [flow_value(ws, v, xi, t) for t in ts]
 
 
-def flow_tail(
-    ws: WeightSystem,
-    v: AmbientPoint,
-    xi,
-    horizon: float = FLOW_HORIZON,
-    cap: float = FLOW_CAP,
-) -> float:
-    """Tail estimate of the mu-weight: the flow value at the horizon.
+def flow_tail(ws: WeightSystem, v: AmbientPoint, xi) -> float:
+    """Tail estimate of the mu-weight: the flow value at FLOW_HORIZON.
 
-    Returns +inf when the value exceeds the cap (the divergent case);
-    otherwise the finite limit estimate.
+    +inf past FLOW_CAP (the divergent case), otherwise the finite limit
+    estimate.
     """
-    val = flow_value(ws, v, xi, horizon)
-    if val is math.inf or val > cap:
-        return math.inf
-    return val
+    return flow_value(ws, v, xi, FLOW_HORIZON)

@@ -13,7 +13,7 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from hkquot import AmbientPoint, WeightSystem, semistable_supports, stabilizer
-from hkquot.exactlin import integer_primitive, lp_maximize, rref
+from hkquot.exactlin import integer_primitive, lp_maximize
 
 BOX = 10
 
@@ -82,6 +82,33 @@ def lp_semistable_support(ws: WeightSystem, support) -> bool:
     return status == "optimal"
 
 
+def fraction_rref(rows: Sequence[Sequence]) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form by textbook Gauss-Jordan over `Fraction`:
+    each pivot row is divided by its pivot and subtracted from the others.
+    Returns (R, pivot columns), R with all the input's rows."""
+    mat = [[Fraction(v) for v in row] for row in rows]
+    if not mat:
+        return [], []
+    pivots: list[int] = []
+    r = 0
+    for col in range(len(mat[0])):
+        sel = next((i for i in range(r, len(mat)) if mat[i][col] != 0), None)
+        if sel is None:
+            continue
+        mat[r], mat[sel] = mat[sel], mat[r]
+        inv = 1 / mat[r][col]
+        mat[r] = [v * inv for v in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][col] != 0:
+                f = mat[i][col]
+                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+        pivots.append(col)
+        r += 1
+        if r == len(mat):
+            break
+    return mat, pivots
+
+
 def rref_positive_bases(ws: WeightSystem, idx: Sequence[int]) -> Iterator[tuple[int, ...]]:
     """Each T within idx, |T| <= k, with beta_T linearly independent and
     theta = sum_{i in T} c_i beta^i for some c > 0; T = () when theta = 0.
@@ -93,7 +120,7 @@ def rref_positive_bases(ws: WeightSystem, idx: Sequence[int]) -> Iterator[tuple[
     """
     for r in range(min(ws.rank, len(idx)) + 1):
         for T in combinations(idx, r):
-            red, pivots = rref(
+            red, pivots = fraction_rref(
                 [[ws.weights[i][a] for i in T] + [ws.theta[a]] for a in range(ws.rank)]
             )
             if pivots == list(range(r)) and all(red[j][r] > 0 for j in range(r)):

@@ -20,6 +20,8 @@ from hkquot.exactlin import (
     solution_signs,
 )
 
+from oracles import fraction_rref
+
 F = Fraction
 
 
@@ -89,7 +91,7 @@ def test_lp_random_instances_against_vertex_enumeration():
         best = None
         for pick in itertools.combinations(range(len(rows)), nv):
             sub = [rows[i] for i in pick]
-            red, piv = rref([r + [rhs[i]] for r, i in zip(sub, pick)])
+            red, piv = fraction_rref([r + [rhs[i]] for r, i in zip(sub, pick)])
             if len(piv) != nv or nv in piv:
                 continue
             cand = [F(0)] * nv
@@ -171,8 +173,11 @@ def test_open_cone_point_matches_lp_oracle(rows):
 @st.composite
 def column_systems(draw):
     """Integer columns and a right-hand side: dependent columns, b in the
-    span (some coefficients 0), b = 0 and b outside the span all occur."""
-    k = draw(st.integers(1, 4))
+    span (some coefficients 0), b = 0 and b outside the span all occur,
+    and so do zero and repeated coordinates (rows of [cols | b]), more
+    rows than columns and k = 0 (no rows).  Also drawn: a nonzero
+    rational scale per row of [cols | b], or 1 for every row."""
+    k = draw(st.integers(0, 4))
     r = draw(st.integers(0, k + 1))
     m = draw(st.sampled_from([2, 9, 10**6]))
     entry = st.integers(-m, m)
@@ -192,25 +197,54 @@ def column_systems(draw):
         b = [0] * k
     else:
         b = draw(st.lists(entry, min_size=k, max_size=k))
-    return cols, b
+    for a in range(k):
+        kind = draw(st.sampled_from(["keep"] * 4 + ["zero", "repeat"]))
+        src = draw(st.integers(0, k - 1))
+        for v in cols + [b]:
+            v[a] = 0 if kind == "zero" else v[src] if kind == "repeat" else v[a]
+    scale = st.sampled_from([1, 1, F(1, 2), F(-2, 3), F(5, 7), F(-1, 10**6)])
+    scales = draw(st.one_of(st.just([1] * k), st.lists(scale, min_size=k, max_size=k)))
+    return cols, b, scales
 
 
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
 @given(column_systems())
-@example(([], [0, 0]))
-@example(([], [1, 0]))
-@example(([[0, 0]], [0, 0]))
-@example(([[1, 2], [2, 4]], [3, 6]))
-@example(([[2, 0], [0, 3]], [-2, 0]))
-@example(([[1], [1]], [1]))
+@example(([], [], []))
+@example(([[]], [], []))
+@example(([], [0, 0], [1, 1]))
+@example(([], [1, 0], [1, 1]))
+@example(([[0, 0]], [0, 0], [1, 1]))
+@example(([[1, 2], [2, 4]], [3, 6], [1, 1]))
+@example(([[2, 0], [0, 3]], [-2, 0], [1, 1]))
+@example(([[1], [1]], [1], [1]))
+@example(([[1, 1, 0]], [2, 2, 0], [F(1, 2), F(-2, 3), 1]))
 def test_solution_signs_match_rref(system):
-    cols, b = system
+    # the integer signs, and rref, kernel_basis and matrix_rank on the rows
+    # of [cols | b] scaled by rationals, agree with the Fraction oracle
+    cols, b, scales = system
     r = len(cols)
-    red, pivots = rref([[col[a] for col in cols] + [b[a]] for a in range(len(b))])
+    red, pivots = fraction_rref([[col[a] for col in cols] + [b[a]] for a in range(len(b))])
     want = None
     if pivots == list(range(r)):
         want = tuple((red[j][r] > 0) - (red[j][r] < 0) for j in range(r))
     assert solution_signs(cols, b) == want
+
+    rows = [[s * col[a] for col in cols] + [s * b[a]] for a, s in enumerate(scales)]
+    got_red, got_pivots = rref(rows)
+    assert (got_red, got_pivots) == fraction_rref(rows) == (red, pivots)
+    assert all(type(v) is F for row in got_red for v in row)
+    assert matrix_rank(rows) == len(pivots)
+    kern = []
+    for f in range(r + 1):
+        if f not in pivots:
+            v = [F(0)] * (r + 1)
+            v[f] = F(1)
+            for j, p in enumerate(pivots):
+                v[p] = -red[j][f]
+            kern.append(v)
+    got = kernel_basis(rows, r + 1)
+    assert got == kern
+    assert all(type(v) is F for vec in got for v in vec)
 
 
 def test_rref_and_rank():

@@ -609,31 +609,33 @@ def test_analyze_semistable_budget(monkeypatch, hirzebruch1):
     rng = np.random.default_rng(37)
     systems = [hirzebruch1, hirzebruch_weight_system(2)] + list(DEGENERATE)
     systems += [random_weight_system(rng, nmax=5) for _ in range(6)]
-    rrefs, stabs = [], []
-    monkeypatch.setattr(git_stability, "rref", counting_calls(rrefs, exactlin.rref))
+    ranks, stabs = [], []
+    monkeypatch.setattr(
+        git_stability, "matrix_rank", counting_calls(ranks, exactlin.matrix_rank)
+    )
     monkeypatch.setattr(
         git_stability, "stabilizer", counting_calls(stabs, git_stability.stabilizer)
     )
     for ws in systems:
-        # the semistable paths take no rref: cmd_analyze makes only the
-        # walk's own rank tests
+        # the semistable paths take no rank test: cmd_analyze makes only
+        # the walk's own
         git_stability._chamber_walk.cache_clear()
-        rrefs.clear()
+        ranks.clear()
         unstable_maximal_supports(ws)
         unstable_maximal_supports(doubled_weights(ws))
-        walk_rrefs = len(rrefs)
+        walk_ranks = len(ranks)
         git_stability._chamber_walk.cache_clear()
         git_stability._basis_masks.cache_clear()
-        rrefs.clear()
+        ranks.clear()
         stabs.clear()
         cmd_analyze(RunConfig(), analyze_json(ws))
-        assert len(rrefs) == walk_rrefs
+        assert len(ranks) == walk_ranks
         # one signed-basis pass serves ws and the cotangent system
         assert git_stability._basis_masks.cache_info().misses == 1
         # the strata behind `smooth` and `kahler_strata` are computed once
         supports = [frozenset(args[1]) for args in stabs]
         assert sorted(supports, key=sorted) == semistable_supports(ws)
-    rrefs.clear()
+    ranks.clear()
     for ws in systems[:3]:
         semistable_support(ws, range(ws.n))
         semistable_supports(ws)
@@ -641,7 +643,7 @@ def test_analyze_semistable_budget(monkeypatch, hirzebruch1):
         kahler_strata(ws)
         quotient_smooth(ws)
         hk_candidate_strata(ws)
-    assert rrefs == []
+    assert ranks == []
     git_stability._basis_masks.cache_clear()
 
 
