@@ -9,10 +9,13 @@ appears only in the results it hands back, in the simplex tableau and in
 `open_cone_point`, and the Smith form works on plain ints.  The LP is a
 textbook two-phase simplex with Bland's rule, which both terminates and
 makes vertex choices deterministic; the problem sizes in this package are
-tiny (tens of variables), and the simplex has not been tuned.  Only the
-stability classifier in `git_stability` still solves LPs; the chamber
-walk asks the strict homogeneous systems it needs of `open_cone_point`,
-which uses a few exact dot products and kernels and no tableau.
+tiny (tens of variables), and the simplex has not been tuned.  It returns
+its row multipliers too: an optimal dual solution, or a Farkas
+certificate when the LP is infeasible.  Only the stability classifier in
+`git_stability` still solves LPs, one per verdict, and reads its
+certificates off those multipliers; the chamber walk asks the strict
+homogeneous systems it needs of `open_cone_point`, which uses a few exact
+dot products and kernels and no tableau.
 """
 
 from __future__ import annotations
@@ -37,12 +40,23 @@ def lp_maximize(
     b_ub: Optional[Sequence] = None,
     A_eq: Optional[Sequence[Sequence]] = None,
     b_eq: Optional[Sequence] = None,
-) -> tuple[Status, Optional[list[Fraction]], Optional[Fraction]]:
+) -> tuple[Status, Optional[list[Fraction]], Optional[Fraction], Optional[list[Fraction]]]:
     """Maximize c.x subject to A_ub x <= b_ub and A_eq x = b_eq.
 
     Variables are free (internally split into nonnegative pairs).  Returns
-    (status, x, value); x and value are None unless status == "optimal".
-    All arithmetic is exact.
+    (status, x, value, y); x and value are None unless status == "optimal".
+    y holds one multiplier per row, the rows of A_ub first and then those
+    of A_eq, with y_ub >= 0:
+
+    * optimal: A_ub^T y_ub + A_eq^T y_eq = c and b . y = value (an optimal
+      dual solution);
+    * infeasible: A_ub^T y_ub + A_eq^T y_eq = 0 and b . y < 0 (a Farkas
+      certificate);
+    * unbounded: y is None.
+
+    The multipliers are read off the reduced costs of the artificial
+    columns, which are kept but never enter in phase 2.  All arithmetic is
+    exact.
     """
     c = [Fraction(v) for v in c]
     n = len(c)
@@ -76,10 +90,12 @@ def lp_maximize(
         rows.append(r)
         rhs.append(b)
     m = len(rows)
+    sign = [1] * m  # -1 on the rows negated to make their rhs >= 0
     for i in range(m):
         if rhs[i] < 0:
             rows[i] = [-v for v in rows[i]]
             rhs[i] = -rhs[i]
+            sign[i] = -1
 
     # Phase 1: artificial variable per row, minimize their sum.
     total = nv + m
@@ -90,7 +106,9 @@ def lp_maximize(
         cost = [cv - rv for cv, rv in zip(cost, row)]
     _pivot_to_optimum(tab, basis, cost, allowed=total)
     if -cost[-1] != 0:  # leftover artificial mass
-        return "infeasible", None, None
+        # the phase-1 price of row i is 1 - cost[nv + i]; y is its negative,
+        # times the sign that row was given
+        return "infeasible", None, None, [sg * (cost[nv + i] - 1) for i, sg in enumerate(sign)]
 
     # Drive artificials out of the basis; drop redundant rows.
     keep: list[int] = []
@@ -103,25 +121,26 @@ def lp_maximize(
             continue  # redundant constraint row
         _pivot(tab, basis, i, piv)
         keep.append(i)
-    tab = [tab[i][:nv] + [tab[i][-1]] for i in keep]
+    tab = [tab[i] for i in keep]
     basis = [basis[i] for i in keep]
 
-    # Phase 2: minimize -c.x.
-    obj = [-v for v in c] + [v for v in c] + [_ZERO] * n_ub
+    # Phase 2: minimize -c.x; the artificial columns stay out of the basis.
+    obj = [-v for v in c] + [v for v in c] + [_ZERO] * (n_ub + m)
     cost = obj + [_ZERO]
     for i, b in enumerate(basis):
         if obj[b] != 0:
             cost = [cv - obj[b] * rv for cv, rv in zip(cost, tab[i])]
     unbounded = not _pivot_to_optimum(tab, basis, cost, allowed=nv)
     if unbounded:
-        return "unbounded", None, None
+        return "unbounded", None, None, None
 
     xsplit = [_ZERO] * nv
     for i, b in enumerate(basis):
         xsplit[b] = tab[i][-1]
     x = [xsplit[j] - xsplit[n + j] for j in range(n)]
     value = sum((cj * xj for cj, xj in zip(c, x)), _ZERO)
-    return "optimal", x, value
+    # the phase-2 price of row i is -cost[nv + i]; y is its negative, likewise
+    return "optimal", x, value, [sg * cost[nv + i] for i, sg in enumerate(sign)]
 
 
 def _pivot(tab: list[list[Fraction]], basis: list[int], i: int, j: int) -> None:
@@ -282,13 +301,9 @@ def integer_primitive(vec: Sequence[Fraction]) -> list[int]:
     fracs = [Fraction(v) for v in vec]
     if all(v == 0 for v in fracs):
         raise ValueError("zero vector has no primitive form")
-    denom = 1
-    for v in fracs:
-        denom = denom * v.denominator // gcd(denom, v.denominator)
+    denom = lcm(*(v.denominator for v in fracs))
     ints = [int(v * denom) for v in fracs]
-    g = 0
-    for v in ints:
-        g = gcd(g, abs(v))
+    g = gcd(*ints)
     return [v // g for v in ints]
 
 

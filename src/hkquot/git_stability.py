@@ -14,13 +14,16 @@ one system, so `semistable_supports` (the up-closure of the bases, on
 bitmasks), `kahler_strata` and the cotangent supports of
 `cotangent_semistable_masks` share it.  `semistable_support` and
 `quotient_compact` stop at the first positive basis.  None of them
-solves an LP or does `Fraction` arithmetic per candidate.  A verdict with certificate costs at most two LPs:
+solves an LP or does `Fraction` arithmetic per candidate.  A verdict with
+certificate costs exactly one LP, the membership LP, whose row multipliers
+carry the certificate (LP duality; Farkas 1902):
 
 * a point v is semistable iff theta lies in Cone{beta^i : i in S},
   S = supp(v) (Farkas dual of the Hilbert-Mumford inequality); the
   classifier decides this by one LP, because the same LP gives the
-  polystable flag, and when it fails a second LP yields the certificate, the
-  vertex minimizing <theta, xi> over {B_S xi >= 0} cut with the unit box;
+  polystable flag, and when it is infeasible the multipliers xi of its
+  rows sum s_i beta^i = theta are a Farkas certificate: B_S xi >= 0 and
+  <theta, xi> < 0;
 * it is polystable iff theta lies in the relative interior of that cone,
   equivalently iff the Kempf-Ness functional attains its minimum on the
   orbit (Stiemke duality); the membership LP decides this too, and the
@@ -29,8 +32,8 @@ solves an LP or does `Fraction` arithmetic per candidate.  A verdict with certif
   interior of the cone), read off one exact kernel of B_S.  Otherwise it
   is strictly semistable, with witness xi != 0, B_S xi >= 0 and
   <theta, xi> = 0: a kernel vector of B_S when the rank drops, else the
-  vertex of one LP maximizing sum_{i in S} beta^i(xi) over
-  {B_S xi >= 0, <theta, xi> <= 0} cut with the unit box;
+  optimal multipliers xi of the same LP (its optimum is then t* = 0),
+  which also have some beta^i(xi) > 0: theta lies on a proper face;
 * certificates and witnesses are primitive integral cocharacters, so they
   can be re-checked by exact mu-weight evaluation.
 
@@ -198,15 +201,23 @@ def semistable_support(ws: WeightSystem, S: Iterable[int]) -> bool:
 
 def polystable_support(ws: WeightSystem, S: Iterable[int]) -> bool:
     """True iff theta is in the relative interior of the support cone."""
-    _, _, topt = _cone_membership_lp(ws, sorted(set(S)))
-    return topt is not None and topt > 0
+    return classify_support(ws, S).polystable
 
 
 def _cone_membership_lp(ws: WeightSystem, idx: list[int]):
     """max t s.t. sum s_i beta^i = theta, s_i >= max(t, 0), t <= 1.
 
-    Feasible iff semistable; optimum > 0 iff polystable.
-    Returns (status, s, t_opt).
+    Feasible iff semistable; optimum t* > 0 iff polystable.  Returns
+    (status, t*, xi), t* None unless optimal, and xi the multipliers of the
+    rows sum s_i beta^i = theta.  With u_i, v_i >= 0 the multipliers of
+    -s_i <= 0 and t - s_i <= 0 and w >= 0 that of t <= 1, the column of
+    s_i reads beta^i(xi) = u_i + v_i >= 0 and the column of t reads
+    sum v_i + w = 0 or 1, so:
+
+    * infeasible (Farkas): v = w = 0, B_S xi >= 0 and <theta, xi> < 0;
+    * optimal with t* = 0: w + <theta, xi> = 0, and <theta, xi> =
+      sum s_i beta^i(xi) >= 0 forces w = 0 and <theta, xi> = 0, so
+      sum v_i = 1 and some beta^i(xi) >= v_i > 0.
     """
     m = len(idx)
     nv = m + 1  # s_0..s_{m-1}, t
@@ -228,49 +239,8 @@ def _cone_membership_lp(ws: WeightSystem, idx: list[int]):
     b_ub.append(_I)  # t <= 1
     A_eq = [[Fraction(ws.weights[i][a]) for i in idx] + [_Z] for a in range(ws.rank)]
     c = [_Z] * m + [_I]
-    status, x, value = lp_maximize(c, A_ub, b_ub, A_eq, list(ws.theta))
-    if status != "optimal":
-        return status, None, None
-    return status, x[:m], value
-
-
-def _cone_box_rows(ws: WeightSystem, idx: list[int], extra=()):
-    """-beta^i(xi) <= 0 for i in idx and the rows `extra`, in the unit box."""
-    k = ws.rank
-    A_ub = [[-Fraction(ws.weights[i][a]) for a in range(k)] for i in idx]
-    A_ub.extend(extra)
-    b_ub = [_Z] * len(A_ub)
-    for j in range(k):
-        for sgn in (1, -1):
-            row = [_Z] * k
-            row[j] = Fraction(sgn)
-            A_ub.append(row)
-            b_ub.append(_I)
-    return A_ub, b_ub
-
-
-def _unstable_certificate_lp(ws: WeightSystem, idx: list[int]) -> Cocharacter:
-    """Vertex minimizing <theta, xi> over {B_S xi >= 0} cap the unit box."""
-    A_ub, b_ub = _cone_box_rows(ws, idx)
-    status, x, value = lp_maximize([-t for t in ws.theta], A_ub, b_ub)
-    if status != "optimal" or value <= 0:
-        raise AssertionError("certificate LP must have negative theta optimum")
-    return Cocharacter.exact_from(integer_primitive(x))
-
-
-def _boundary_witness_lp(ws: WeightSystem, idx: list[int]) -> list[Fraction]:
-    """A nonzero xi with B_S xi >= 0 and <theta, xi> <= 0 for full-rank B_S.
-
-    Maximizes sum_{i in S} beta^i(xi) over that cone cut with the unit box;
-    when B_S has rank k the optimum is positive exactly when theta lies on
-    the boundary of the support cone, and then the vertex is nonzero.
-    """
-    A_ub, b_ub = _cone_box_rows(ws, idx, extra=[list(ws.theta)])
-    c = [sum((Fraction(ws.weights[i][a]) for i in idx), _Z) for a in range(ws.rank)]
-    status, x, value = lp_maximize(c, A_ub, b_ub)
-    if status != "optimal" or value <= 0:
-        raise AssertionError("boundary witness LP must have a positive optimum")
-    return x
+    status, _, value, y = lp_maximize(c, A_ub, b_ub, A_eq, list(ws.theta))
+    return status, value, y[-ws.rank:]
 
 
 def classify_support(ws: WeightSystem, S: Iterable[int]) -> StabilityVerdict:
@@ -294,17 +264,20 @@ def _classify_support_cached(ws: WeightSystem, S: tuple[int, ...]) -> StabilityV
     # the verdict is immutable and depends only on (ws, S), so sharing a
     # cached instance across callers is sound; S is the sorted support
     idx = list(S)
-    status, _, topt = _cone_membership_lp(ws, idx)
-    if status != "optimal":
-        return StabilityVerdict(UNSTABLE, _unstable_certificate_lp(ws, idx), polystable=False)
+    status, topt, xi = _cone_membership_lp(ws, idx)
+    if status != "optimal":  # xi is the LP's Farkas certificate
+        cert = Cocharacter.exact_from(integer_primitive(xi))
+        return StabilityVerdict(UNSTABLE, cert, polystable=False)
     # theta = sum s_i beta^i with s >= 0, so kernel vectors of B_S pair to
     # zero with theta; with s > 0 (polystable), B_S xi >= 0 and
-    # <theta, xi> <= 0 force B_S xi = 0, which for rank k means xi = 0
+    # <theta, xi> <= 0 force B_S xi = 0, which for rank k means xi = 0.
+    # Without a kernel and with t* = 0, xi is the LP's boundary witness.
     polystable = topt > 0
     kern = kernel_basis([ws.weights[i] for i in idx], ws.rank)
-    if polystable and not kern:
+    if kern:
+        xi = kern[0]
+    elif polystable:
         return StabilityVerdict(STABLE, None, polystable=True)
-    xi = kern[0] if kern else _boundary_witness_lp(ws, idx)
     return StabilityVerdict(
         STRICTLY_SEMISTABLE, Cocharacter.exact_from(integer_primitive(xi)), polystable
     )

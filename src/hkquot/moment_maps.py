@@ -35,7 +35,6 @@ from .scalars import QC, format_rational
 KAHLER = "kahler"
 HOLOMORPHIC = "holomorphic"
 HYPERKAHLER = "hyperkahler"
-CIRCLE = "circle"
 
 FLOW_HORIZON = 30.0
 FLOW_CAP = 1e6

@@ -72,7 +72,7 @@ def lp_semistable_support(ws: WeightSystem, support) -> bool:
     s >= 0, sum_{i in S} s_i beta^i = theta."""
     idx = sorted(support)
     m = len(idx)
-    status, _, _ = lp_maximize(
+    status, _, _, _ = lp_maximize(
         [0] * m,
         A_ub=[[-1 if j == i else 0 for j in range(m)] for i in range(m)],
         b_ub=[0] * m,
@@ -143,7 +143,7 @@ def loop_quotient_smooth(ws: WeightSystem) -> tuple[bool, Optional[frozenset]]:
 def lp_quotient_compact(ws: WeightSystem) -> bool:
     """No s >= 0 with sum s_i beta^i = 0 and sum s_i = 1, by exact LP."""
     n = ws.n
-    status, _, _ = lp_maximize(
+    status, _, _, _ = lp_maximize(
         [0] * n,
         A_ub=[[-1 if j == i else 0 for j in range(n)] for i in range(n)],
         b_ub=[0] * n,
@@ -198,7 +198,7 @@ def dfs_unstable_supports(ws: WeightSystem) -> list[frozenset]:
         trow = [Fraction(0)] * k + [Fraction(1)]
         A_ub.append(trow)
         b_ub.append(Fraction(1))
-        status, _, value = lp_maximize(trow, A_ub, b_ub, A_eq, [Fraction(0)] * len(A_eq))
+        status, _, value, _ = lp_maximize(trow, A_ub, b_ub, A_eq, [Fraction(0)] * len(A_eq))
         return status == "optimal" and value > 0
 
     found: set[frozenset] = set()

@@ -3,6 +3,7 @@
 import itertools
 import math
 from fractions import Fraction
+from typing import Optional
 
 import numpy as np
 import pytest
@@ -25,16 +26,37 @@ from oracles import fraction_rref
 F = Fraction
 
 
+def check_multipliers(lp, c, A_ub=(), b_ub=(), A_eq=(), b_eq=()) -> None:
+    """The row multipliers y of lp = lp_maximize(...) meet their contract:
+    y_ub >= 0, A^T y = c and b . y = value when optimal, A^T y = 0 and
+    b . y < 0 when infeasible, None when unbounded."""
+    status, _, value, y = lp
+    if status == "unbounded":
+        assert y is None
+        return
+    rows, rhs = list(A_ub) + list(A_eq), list(b_ub) + list(b_eq)
+    assert len(y) == len(rows)
+    assert all(isinstance(v, Fraction) for v in y)
+    assert all(v >= 0 for v in y[: len(A_ub)])
+    combo = [sum((F(row[j]) * v for row, v in zip(rows, y)), F(0)) for j in range(len(c))]
+    by = sum((F(b) * v for b, v in zip(rhs, y)), F(0))
+    if status == "optimal":
+        assert combo == [F(v) for v in c] and by == value
+    else:
+        assert status == "infeasible"
+        assert not any(combo) and by < 0
+
+
 def test_lp_bounded_hand_example():
     # max x + y  s.t.  x + 2y <= 4, 3x + y <= 6, x,y >= 0  -> (8/5, 6/5)
-    status, x, value = lp_maximize(
-        c=[1, 1],
-        A_ub=[[1, 2], [3, 1], [-1, 0], [0, -1]],
-        b_ub=[4, 6, 0, 0],
-    )
+    A_ub, b_ub = [[1, 2], [3, 1], [-1, 0], [0, -1]], [4, 6, 0, 0]
+    lp = lp_maximize(c=[1, 1], A_ub=A_ub, b_ub=b_ub)
+    status, x, value, y = lp
     assert status == "optimal"
     assert x == [F(8, 5), F(6, 5)]
     assert value == F(14, 5)
+    assert y == [F(2, 5), F(1, 5), F(0), F(0)]
+    check_multipliers(lp, [1, 1], A_ub, b_ub)
 
 
 def test_lp_free_variables_and_equalities():
@@ -42,39 +64,71 @@ def test_lp_free_variables_and_equalities():
     # optimum pushes x to 3/2? no: x free, minimize max(x, -x) subject to
     # x - y = 3 with y free leaves t* = 0 unattainable only when x is pinned.
     # Pin x = -5 through the equality block and check t* = 5 exactly.
-    status, x, value = lp_maximize(
-        c=[0, 0, -1],
-        A_ub=[[1, 0, -1], [-1, 0, -1]],
-        b_ub=[0, 0],
-        A_eq=[[1, -1, 0], [0, 1, 0]],
-        b_eq=[3, -8],
-    )
+    args = dict(c=[0, 0, -1], A_ub=[[1, 0, -1], [-1, 0, -1]], b_ub=[0, 0],
+                A_eq=[[1, -1, 0], [0, 1, 0]], b_eq=[3, -8])
+    lp = lp_maximize(**args)
+    status, x, value, _ = lp
     assert status == "optimal"
     assert x[0] == F(-5)
     assert value == F(-5)
+    check_multipliers(lp, **args)
 
 
 def test_lp_infeasible_and_unbounded():
-    status, x, value = lp_maximize(c=[1], A_ub=[[1], [-1]], b_ub=[1, -2])
+    lp = lp_maximize(c=[1], A_ub=[[1], [-1]], b_ub=[1, -2])
+    status, x, value, y = lp
     assert status == "infeasible" and x is None and value is None
-    status, x, value = lp_maximize(c=[1], A_ub=[[-1]], b_ub=[0])
-    assert status == "unbounded" and x is None and value is None
+    assert y == [F(1), F(1)]  # x <= 1 plus -x <= -2 gives 0 <= -1
+    check_multipliers(lp, [1], [[1], [-1]], [1, -2])
+    status, x, value, y = lp_maximize(c=[1], A_ub=[[-1]], b_ub=[0])
+    assert status == "unbounded" and x is None and value is None and y is None
+    # infeasible equalities, one with a negative right-hand side, and a
+    # redundant equality row on a feasible system
+    args = dict(c=[0, 0], A_eq=[[1, 1], [2, 2]], b_eq=[1, -3])
+    lp = lp_maximize(**args)
+    assert lp[0] == "infeasible"
+    check_multipliers(lp, **args)
+    args = dict(c=[1, 2], A_ub=[[1, 0], [0, 1]], b_ub=[4, 5], A_eq=[[1, -1], [-2, 2]], b_eq=[-1, 2])
+    lp = lp_maximize(**args)
+    assert lp[:3] == ("optimal", [F(4), F(5)], F(14))
+    check_multipliers(lp, **args)
 
 
 def test_lp_degenerate_vertex_terminates():
     # redundant constraints meeting at the optimum must not cycle
-    status, x, value = lp_maximize(
-        c=[1, 1],
-        A_ub=[[1, 0], [0, 1], [1, 1], [-1, 0], [0, -1]],
-        b_ub=[1, 1, 2, 0, 0],
-    )
+    A_ub, b_ub = [[1, 0], [0, 1], [1, 1], [-1, 0], [0, -1]], [1, 1, 2, 0, 0]
+    lp = lp_maximize(c=[1, 1], A_ub=A_ub, b_ub=b_ub)
+    status, x, value, _ = lp
     assert status == "optimal"
     assert value == 2
+    check_multipliers(lp, [1, 1], A_ub, b_ub)
+
+
+def vertex_optimum(cost, rows, rhs) -> Optional[Fraction]:
+    """max cost . x over {rows x <= rhs} by enumerating every basic point;
+    None when no basic point is feasible."""
+    nv = len(cost)
+    best = None
+    for pick in itertools.combinations(range(len(rows)), nv):
+        sub = [rows[i] for i in pick]
+        red, piv = fraction_rref([r + [rhs[i]] for r, i in zip(sub, pick)])
+        if len(piv) != nv or nv in piv:
+            continue
+        cand = [F(0)] * nv
+        for r, p in zip(red, piv):
+            cand[p] = r[-1]
+        if all(
+            sum(a * b for a, b in zip(row, cand)) <= bb for row, bb in zip(rows, rhs)
+        ):
+            cv = sum(c * v for c, v in zip(cost, cand))
+            best = cv if best is None or cv > best else best
+    return best
 
 
 def test_lp_random_instances_against_vertex_enumeration():
     # Small random bounded LPs: check the simplex optimum against direct
-    # enumeration of all basic feasible points of the inequality system.
+    # enumeration of all basic feasible points of the inequality system,
+    # and the row multipliers against their contract.
     rng = np.random.default_rng(7)
     for _ in range(25):
         nv = int(rng.integers(2, 4))
@@ -86,23 +140,35 @@ def test_lp_random_instances_against_vertex_enumeration():
                 rows.append([F(s) if i == j else F(0) for i in range(nv)])
                 rhs.append(F(6))
         cost = [F(int(v)) for v in rng.integers(-3, 4, size=nv)]
-        status, xopt, val = lp_maximize(cost, A_ub=rows, b_ub=rhs)
-        assert status == "optimal"
-        best = None
-        for pick in itertools.combinations(range(len(rows)), nv):
-            sub = [rows[i] for i in pick]
-            red, piv = fraction_rref([r + [rhs[i]] for r, i in zip(sub, pick)])
-            if len(piv) != nv or nv in piv:
-                continue
-            cand = [F(0)] * nv
-            for r, p in zip(red, piv):
-                cand[p] = r[-1]
-            if all(
-                sum(a * b for a, b in zip(row, cand)) <= bb for row, bb in zip(rows, rhs)
-            ):
-                cv = sum(c * v for c, v in zip(cost, cand))
-                best = cv if best is None or cv > best else best
-        assert best == val
+        lp = lp_maximize(cost, A_ub=rows, b_ub=rhs)
+        assert lp[0] == "optimal"
+        assert vertex_optimum(cost, rows, rhs) == lp[2]
+        check_multipliers(lp, cost, rows, rhs)
+    # Further draws with negative right-hand sides and equality rows, some
+    # repeated as a redundant multiple: infeasible draws are common.  The
+    # enumeration reads each equality as two inequalities.
+    statuses = set()
+    for _ in range(60):
+        nv = int(rng.integers(2, 4))
+        A_ub = [[F(int(v)) for v in rng.integers(-3, 4, size=nv)] for _ in range(nv)]
+        b_ub = [F(int(v)) for v in rng.integers(-3, 5, size=nv)]
+        A_eq = [[F(int(v)) for v in rng.integers(-2, 3, size=nv)] for _ in range(int(rng.integers(0, 3)))]
+        b_eq = [F(int(v)) for v in rng.integers(-3, 4, size=len(A_eq))]
+        if A_eq and rng.random() < 0.5:
+            scale = int(rng.choice([-2, -1, 2]))
+            A_eq.append([scale * v for v in A_eq[0]])
+            b_eq.append(scale * b_eq[0])
+        for j in range(nv):
+            for s in (1, -1):
+                A_ub.append([F(s) if i == j else F(0) for i in range(nv)])
+                b_ub.append(F(6))
+        cost = [F(int(v)) for v in rng.integers(-3, 4, size=nv)]
+        lp = lp_maximize(cost, A_ub, b_ub, A_eq, b_eq)
+        statuses.add(lp[0])
+        split = A_ub + A_eq + [[-v for v in row] for row in A_eq]
+        assert vertex_optimum(cost, split, b_ub + b_eq + [-b for b in b_eq]) == lp[2]
+        check_multipliers(lp, cost, A_ub, b_ub, A_eq, b_eq)
+    assert statuses == {"optimal", "infeasible"}
 
 
 def lp_open_cone_feasible(rows: list[list[int]]) -> bool:
@@ -114,7 +180,7 @@ def lp_open_cone_feasible(rows: list[list[int]]) -> bool:
         for sgn in (1, -1):
             A_ub.append([F(sgn) if i == j else F(0) for i in range(d)] + [F(0)])
     A_ub.append([F(0)] * d + [F(1)])
-    status, _, value = lp_maximize([F(0)] * d + [F(1)], A_ub, [F(0)] * len(rows) + [F(1)] * (2 * d + 1))
+    status, _, value, _ = lp_maximize([F(0)] * d + [F(1)], A_ub, [F(0)] * len(rows) + [F(1)] * (2 * d + 1))
     assert status == "optimal" and value >= 0
     return value > 0
 

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from hkquot import (
     AmbientPoint,
     BoundExceededError,
+    DimensionMismatchError,
     WeightSystem,
     classify_point,
     classify_support,
@@ -230,6 +231,11 @@ def check_against_oracles(ws: WeightSystem, v: AmbientPoint, box_exact: bool = F
     assert w <= 0
     if verdict.status == UNSTABLE:
         assert w < 0
+    elif not verdict.polystable and S and np.linalg.matrix_rank(
+        np.array([ws.weights[i] for i in S], dtype=float)
+    ) == ws.rank:
+        # a boundary witness: theta lies on the proper face cut out by xi
+        assert any(ws.weight_pairing(i, cert.xi) > 0 for i in S)
 
 
 def test_verdicts_match_box_oracle():
@@ -273,8 +279,8 @@ def counting_lp(calls: list):
 
 
 def test_cold_verdict_lp_budget(monkeypatch):
-    # stable: the membership LP alone; unstable: membership plus certificate;
-    # strictly semistable: one more LP only when B_S has full rank
+    # every verdict is the membership LP alone: the unstable certificate and
+    # the full-rank boundary witness are its row multipliers
     calls = []
     monkeypatch.setattr(git_stability, "lp_maximize", counting_lp(calls))
     rng = np.random.default_rng(11)
@@ -286,8 +292,7 @@ def test_cold_verdict_lp_budget(monkeypatch):
             verdict = classify_support(ws, S)
             rows = np.array([ws.weights[i] for i in sorted(S)], dtype=float)
             full_rank = bool(S) and np.linalg.matrix_rank(rows) == ws.rank
-            want = {STABLE: 1, UNSTABLE: 2, STRICTLY_SEMISTABLE: 2 if full_rank else 1}
-            assert len(calls) == want[verdict.status]
+            assert len(calls) == 1
             seen.add((verdict.status, full_rank))
     git_stability._classify_support_cached.cache_clear()
     assert seen >= {(STABLE, True), (UNSTABLE, True), (UNSTABLE, False),
@@ -510,6 +515,8 @@ def test_polystable_support_flags():
     assert not polystable_support(ws, {0})
     assert polystable_support(ws, set())
     assert classify_support(ws, frozenset({0, 1})).status == STABLE
+    with pytest.raises(DimensionMismatchError):
+        polystable_support(ws, {2})
 
     # a line of weights in rank 2 leaves a transverse destabilizer with
     # pairing zero: strictly semistable but still polystable
