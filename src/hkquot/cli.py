@@ -14,6 +14,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 from typing import Optional
 
@@ -239,9 +240,16 @@ def _flatten(prefix: str, value, rows: list):
         rows.append((prefix, json.dumps(value)))
 
 
+_ENCODE = json.JSONEncoder(sort_keys=True, indent=2).iterencode
+
+
 def render(payload: dict, fmt: str) -> str:
     if fmt == "json":
-        return json.dumps(payload, sort_keys=True, indent=2)
+        # json.dumps(payload, sort_keys=True, indent=2), joined in batches
+        # of pieces so that the pieces of a large payload are not all held
+        # in one list
+        pieces = _ENCODE(payload)
+        return "".join(first + "".join(islice(pieces, 4095)) for first in pieces)
     if payload.get("command") == "hirzebruch" and fmt == "table":
         return hirzebruch_report_text(payload)
     rows: list[tuple[str, str]] = []

@@ -4,24 +4,28 @@ kernels, coefficient signs of integer systems, Smith normal form.
 Nothing here uses floating point, so the stability certificates and
 stabilizer invariants built on top are exact.  One fraction-free
 Gauss-Jordan elimination over the integers (`_eliminate`) is behind
-`rref`, `matrix_rank`, `kernel_basis` and `solution_signs`; `Fraction`
-appears only in the results it hands back, in the simplex tableau and in
-`open_cone_point`, and the Smith form works on plain ints.  The LP is a
-textbook two-phase simplex with Bland's rule, which both terminates and
-makes vertex choices deterministic; the problem sizes in this package are
-tiny (tens of variables), and the simplex has not been tuned.  It returns
-its row multipliers too: an optimal dual solution, or a Farkas
-certificate when the LP is infeasible.  Only the stability classifier in
-`git_stability` still solves LPs, one per verdict, and reads its
-certificates off those multipliers; the chamber walk asks the strict
-homogeneous systems it needs of `open_cone_point`, which uses a few exact
-dot products and kernels and no tableau.
+`rref`, `matrix_rank`, `integer_kernel_basis` (and its rational view
+`kernel_basis`) and `solution_signs`; a rational row is first scaled by
+the lcm of its denominators (`_integer_row`).  `open_cone_point` works in
+plain ints too, so `Fraction` appears only in the results `rref` and
+`kernel_basis` hand back and in the simplex tableau, and the Smith form
+works on plain ints.  The LP is a textbook two-phase simplex with Bland's
+rule, which both terminates and makes vertex choices deterministic; the
+problem sizes in this package are tiny (tens of variables), and the
+simplex has not been tuned.  It returns its row multipliers too: an
+optimal dual solution, or a Farkas certificate when the LP is infeasible.
+Only the stability classifier in `git_stability` still solves LPs, one
+per verdict, and reads its certificates off those multipliers; the
+chamber walk asks the strict homogeneous systems it needs of
+`open_cone_point`, which uses a few exact dot products and integer
+kernels and no tableau.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 from typing import Optional, Sequence
 
 Status = str  # "optimal" | "infeasible" | "unbounded"
@@ -177,44 +181,61 @@ def _pivot_to_optimum(tab, basis, cost, allowed: int) -> bool:
                 cost[j] -= f * tab[leave][j]
 
 
-def open_cone_point(rows: Sequence[Sequence]) -> Optional[list[Fraction]]:
-    """A rational y with r . y > 0 for every row r, or None if none exists.
+def open_cone_point(rows: Sequence[Sequence]) -> Optional[list[int]]:
+    """A primitive integer y with r . y > 0 for every row r, or None if
+    none exists.
 
     Seidel's incremental method (Seidel 1991) on the open cone: keep y
     while r_j . y > 0.  Otherwise the rows so far have a point iff they
     have one on the hyperplane r_j = 0 (the segment from y to any point of
-    the larger cone crosses it), so recurse there in a kernel basis of r_j
-    and push the point z found off the hyperplane: y = z + (t/2) r_j with
-    t = min(1, r_i . z / (-r_i . r_j) over earlier i with r_i . r_j < 0).
-    A zero row can never be positive, so any zero row means None.
+    the larger cone crosses it), so recurse there in an integer kernel
+    basis of r_j and push the point z found off the hyperplane: y = z +
+    (t/2) r_j with t = num/den = min(1, r_i . z / (-r_i . r_j) over
+    earlier i with r_i . r_j < 0).  The system is homogeneous, so the
+    positive multiple 2 den z + num r_j, divided by its gcd, serves as
+    well, and everything stays in plain ints: a rational row is scaled
+    once by the lcm of its denominators.  A zero row can never be
+    positive, so any zero row means None.
     """
-    mat = _frac_rows(rows)
+    mat = [_integer_row(row) for row in rows]
     return _open_cone(mat, len(mat[0]) if mat else 0)
 
 
-def _open_cone(rows: list[list[Fraction]], d: int) -> Optional[list[Fraction]]:
+def _open_cone(rows: list[list[int]], d: int) -> Optional[list[int]]:
     if any(not any(r) for r in rows):
         return None
-    y = [_ZERO] * d
+    y = [0] * d
     for j, rj in enumerate(rows):
         if _dot(rj, y) > 0:
             continue
-        basis = kernel_basis([rj], d)
+        basis = integer_kernel_basis([rj], d)
         z_coords = _open_cone([[_dot(b, ri) for b in basis] for ri in rows[:j]], d - 1)
         if z_coords is None:
             return None
-        z = [sum((c * b[a] for c, b in zip(z_coords, basis)), _ZERO) for a in range(d)]
-        t = _ONE
+        z = [sum(c * b[a] for c, b in zip(z_coords, basis)) for a in range(d)]
+        num = den = 1
         for ri in rows[:j]:
             rr = _dot(ri, rj)
             if rr < 0:
-                t = min(t, _dot(ri, z) / -rr)
-        y = [za + t / 2 * ra for za, ra in zip(z, rj)]
+                rz = _dot(ri, z)
+                if rz * den < -rr * num:
+                    num, den = rz, -rr
+        y = integer_primitive([2 * den * za + num * ra for za, ra in zip(z, rj)])
     return y
 
 
-def _dot(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
-    return sum((x * y for x, y in zip(a, b)), _ZERO)
+def _dot(a: Sequence[int], b: Sequence[int]) -> int:
+    return sum(map(mul, a, b))
+
+
+def _integer_row(row: Sequence) -> list[int]:
+    """A rational row scaled by the lcm of its denominators: a positive
+    multiple in plain ints."""
+    if all(type(v) is int for v in row):
+        return list(row)
+    vals = [Fraction(v) for v in row]
+    den = lcm(*(v.denominator for v in vals))
+    return [v.numerator * (den // v.denominator) for v in vals]
 
 
 def _eliminate(rows: Sequence[Sequence]) -> tuple[list[list[int]], list[int], int]:
@@ -228,11 +249,7 @@ def _eliminate(rows: Sequence[Sequence]) -> tuple[list[list[int]], list[int], in
     (Bareiss 1968; Nakos, Turner and Williams 1997).  At the end M / D is
     the reduced row echelon form, D the last pivot (1 if there is none).
     """
-    mat = []
-    for row in rows:
-        vals = [v if type(v) is int else Fraction(v) for v in row]
-        den = lcm(*(v.denominator for v in vals))
-        mat.append([v.numerator * (den // v.denominator) for v in vals])
+    mat = [_integer_row(row) for row in rows]
     pivots: list[int] = []
     prev = 1
     for col in range(len(mat[0]) if mat else 0):
@@ -279,31 +296,47 @@ def matrix_rank(rows: Sequence[Sequence]) -> int:
     return len(_eliminate(rows)[1])
 
 
-def kernel_basis(rows: Sequence[Sequence], ncols: Optional[int] = None) -> list[list[Fraction]]:
-    """Rational basis of the right kernel {v : rows @ v = 0}."""
+def integer_kernel_basis(rows: Sequence[Sequence], ncols: Optional[int] = None) -> list[list[int]]:
+    """Primitive integer basis of the right kernel {w : rows @ w = 0}.
+
+    One vector per free column f of the eliminated matrix (M, D): w[f] =
+    |D| and w[p] = -sign(D) M[r][f] for the pivot p of row r, divided by
+    the gcd.  Its entries vanish after f, so f is its last nonzero entry,
+    and there w[f] > 0.
+    """
     mat, pivots, d = _eliminate(rows)
     if ncols is None:
         ncols = len(mat[0]) if mat else 0
+    sd = -1 if d > 0 else 1
     basis = []
     for f in range(ncols):
         if f in pivots:
             continue
-        v = [_ZERO] * ncols
-        v[f] = _ONE
+        w = [0] * ncols
+        w[f] = abs(d)
         for r, p in enumerate(pivots):
-            v[p] = Fraction(-mat[r][f], d)
-        basis.append(v)
+            w[p] = sd * mat[r][f]
+        basis.append(integer_primitive(w))
     return basis
 
 
-def integer_primitive(vec: Sequence[Fraction]) -> list[int]:
-    """Scale a nonzero rational vector to a primitive integer vector."""
-    fracs = [Fraction(v) for v in vec]
-    if all(v == 0 for v in fracs):
-        raise ValueError("zero vector has no primitive form")
-    denom = lcm(*(v.denominator for v in fracs))
-    ints = [int(v * denom) for v in fracs]
+def kernel_basis(rows: Sequence[Sequence], ncols: Optional[int] = None) -> list[list[Fraction]]:
+    """Rational basis of the right kernel {v : rows @ v = 0}: the
+    `integer_kernel_basis` vectors scaled to 1 in their free column."""
+    basis = []
+    for w in integer_kernel_basis(rows, ncols):
+        lead = next(v for v in reversed(w) if v)
+        basis.append([Fraction(v, lead) for v in w])
+    return basis
+
+
+def integer_primitive(vec: Sequence) -> list[int]:
+    """Scale a nonzero rational vector to a primitive integer vector, a
+    positive multiple of it."""
+    ints = _integer_row(vec)
     g = gcd(*ints)
+    if not g:
+        raise ValueError("zero vector has no primitive form")
     return [v // g for v in ints]
 
 

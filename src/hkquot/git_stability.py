@@ -44,9 +44,11 @@ The walk fixes one line R beta^i per level and carries an exact witness
 xi for every realized sign prefix.  A child cell is realized by the
 parent's witness, by a point on the segment between two witnesses, or by
 one exact open-cone solve (`exactlin.open_cone_point`, Seidel's
-incremental method), so the walk solves no LP, asks at most one open-cone
-point per realized prefix, and each cell it reports comes with a witness
-that can be re-checked exactly.
+incremental method in plain ints), so the walk solves no LP, asks at most
+one open-cone point per realized prefix, and each cell it reports comes
+with a witness that can be re-checked exactly.  The walk writes each
+solve's rows in a rational kernel basis of the lines assigned 0, and the
+solve scales them to integers once.
 The walk depends only on the lines and theta, which the cotangent system
 `doubled_weights(ws)` shares with ws, so the two share one memoized walk.
 """

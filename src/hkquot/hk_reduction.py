@@ -210,6 +210,11 @@ def _sig12(x: float) -> float:
     return float(f"{x:.12g}")
 
 
+def _sig12_rows(mat: np.ndarray) -> list[list[float]]:
+    """`_sig12` of every entry, one row at a time."""
+    return [list(map(float, map("{:.12g}".format, row))) for row in mat.tolist()]
+
+
 def frame_report_json(frame: ReducedFrame) -> dict:
     grams = gram_matrices(frame)
     return {
@@ -218,9 +223,7 @@ def frame_report_json(frame: ReducedFrame) -> dict:
         "horizontal_dim": frame.dim,
         "mu_residual": _sig12(frame.mu_residual),
         "quaternion_deviation": _sig12(quaternion_check(frame)),
-        "gram": {
-            key: [[_sig12(v) for v in row] for row in mat] for key, mat in grams.items()
-        },
+        "gram": {key: _sig12_rows(mat) for key, mat in grams.items()},
     }
 
 

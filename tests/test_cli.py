@@ -11,7 +11,7 @@ import pytest
 
 jsonschema = pytest.importorskip("jsonschema")
 
-from hkquot.cli import main
+from hkquot.cli import main, render
 
 HIRZEBRUCH1 = json.dumps(
     {"rank": 2, "weights": [[1, 0], [1, 0], [0, 1], [-1, 1]], "theta": ["1/2", "1/2"]}
@@ -205,6 +205,19 @@ def test_output_is_byte_deterministic(capsys):
     )
     outs = [run(capsys, "analyze", ws)[1] for ws in (HIRZEBRUCH1, hirzebruch2, HIRZEBRUCH1)]
     assert outs[0] == outs[2] != outs[1]
+
+
+def test_json_render_matches_json_dumps():
+    # the batched encoder writes exactly what json.dumps writes
+    payloads = [
+        {},
+        {"a": [], "b": {}, "c": [[], {}], "d": None, "e": True},
+        {"x": float("nan"), "y": [float("inf"), -float("inf"), -0.0, 1e-320, 2.5]},
+        {"naïve": "θ → ∞, 日本", "nested": {"z": [1, {"y": "\u00e9\n\"q\""}], "a": 0}},
+        {"big": [{"i": i, "v": [i / 7, str(i)]} for i in range(3000)]},
+    ]
+    for p in payloads:
+        assert render(p, "json") == json.dumps(p, sort_keys=True, indent=2)
 
 
 def test_csv_and_table_render(capsys):

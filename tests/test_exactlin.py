@@ -11,6 +11,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from hkquot.exactlin import (
+    integer_kernel_basis,
     integer_primitive,
     kernel_basis,
     lp_maximize,
@@ -188,12 +189,14 @@ def lp_open_cone_feasible(rows: list[list[int]]) -> bool:
 @st.composite
 def cone_rows(draw) -> list[list[int]]:
     """Integer rows in dimension 1..4, with zero rows and parallel and
-    opposite copies mixed in.  Half the draws instead orient every row to
-    pair nonnegatively with a hidden point and take no zero rows, so that
-    feasible systems are common."""
+    opposite copies mixed in, and entries up to 3 or up to 10**6 in size,
+    so that coefficient growth is exercised.  Half the draws instead
+    orient every row to pair nonnegatively with a hidden point and take
+    no zero rows, so that feasible systems are common."""
     d = draw(st.sampled_from([1, 2, 3, 4]))
     m = draw(st.integers(1, 12))
-    entry = st.integers(-3, 3)
+    big = draw(st.sampled_from([3, 3, 10**6]))
+    entry = st.integers(-big, big)
     hidden = draw(st.one_of(st.none(), st.lists(st.sampled_from([-2, -1, 1, 2]), min_size=d, max_size=d)))
     rows: list[list[int]] = []
     for _ in range(m):
@@ -227,12 +230,14 @@ def cone_rows(draw) -> list[list[int]]:
 @example([[1, 0, 0, 0], [0, 1, 0, 0]])
 @example([[1, 1], [-1, 0], [0, -1], [1, 0]])
 @example([[1, 0, 0], [0, 1, 0], [-1, -1, 0]])
+@example([[F(1, 2), F(-1, 3)], [F(-2, 3), 1]])
 def test_open_cone_point_matches_lp_oracle(rows):
     y = open_cone_point(rows)
     if y is not None:
         assert len(y) == len(rows[0])
-        assert all(isinstance(v, F) for v in y)
-        assert all(sum(F(a) * b for a, b in zip(r, y)) > 0 for r in rows)
+        assert all(type(v) is int for v in y)
+        assert math.gcd(*y) == 1
+        assert all(sum(a * b for a, b in zip(r, y)) > 0 for r in rows)
     assert (y is not None) == lp_open_cone_feasible(rows)
 
 
@@ -311,6 +316,12 @@ def test_solution_signs_match_rref(system):
     got = kernel_basis(rows, r + 1)
     assert got == kern
     assert all(type(v) is F for vec in got for v in vec)
+    # the integer kernel: primitive positive multiples of the same vectors
+    ints = integer_kernel_basis(rows, r + 1)
+    assert all(type(v) is int for w in ints for v in w)
+    assert all(math.gcd(*w) == 1 for w in ints)
+    free = [f for f in range(r + 1) if f not in pivots]
+    assert [[F(v, w[f]) for v in w] for w, f in zip(ints, free)] == kern
 
 
 def test_rref_and_rank():
@@ -343,6 +354,8 @@ def test_integer_primitive():
     assert integer_primitive([F(2), F(4), F(6)]) == [1, 2, 3]
     assert integer_primitive([F(1, 2), F(1, 3)]) == [3, 2]
     assert integer_primitive([F(0), F(-5)]) == [0, -1]
+    assert integer_primitive([-4, 6, 0]) == [-2, 3, 0]
+    assert all(type(v) is int for v in integer_primitive((3, -9)))
     with pytest.raises(ValueError):
         integer_primitive([F(0), F(0)])
 

@@ -531,12 +531,12 @@ def test_polystable_support_flags():
 
 
 @st.composite
-def small_systems(draw):
-    """Weight systems with n <= 5 and k <= 3 that often hold zero weights,
-    repeated and opposite lines, rank-deficient supports (all weights in a
-    hyperplane), theta = 0 or theta on the ray of a weight."""
+def small_systems(draw, nmax: int = 5):
+    """Weight systems with n <= nmax and k <= 3 that often hold zero
+    weights, repeated and opposite lines, rank-deficient supports (all
+    weights in a hyperplane), theta = 0 or theta on the ray of a weight."""
     k = draw(st.integers(1, 3))
-    n = draw(st.integers(0, 5))
+    n = draw(st.integers(0, nmax))
     flat = k > 1 and draw(st.integers(0, 3)) == 0
     weights: list[tuple[int, ...]] = []
     for _ in range(n):
@@ -592,6 +592,19 @@ def test_signed_basis_pass_matches_oracles(ws, data):
     derived_set = set(derived)
     for U in supports:
         assert (U in derived_set) == lp_semistable_support(dws, U), (ws, sorted(U))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(small_systems(nmax=4))
+def test_chamber_walk_matches_dfs_oracle_on_degenerate_systems(ws):
+    # zero weights, repeated and opposite lines, rank-deficient supports,
+    # theta = 0 and theta on the ray of a weight, on ws and its cotangent
+    # system
+    git_stability._chamber_walk.cache_clear()
+    for target in (ws, doubled_weights(ws)):
+        assert unstable_maximal_supports(target) == dfs_unstable_supports(target)
+    git_stability._chamber_walk.cache_clear()
 
 
 def test_quotient_smooth_matches_loop_oracle():

@@ -260,6 +260,26 @@ def test_frame_report_shape(hirzebruch_frame):
         assert mat.shape == (8, 8)
 
 
+def test_gram_rounding_matches_per_value_sig12():
+    # the report rounds each Gram row in one pass; its floats are bit for
+    # bit those of `_sig12` taken one entry at a time
+    def bits(rows) -> list:
+        assert all(type(v) is float for row in rows for v in row)
+        return [[v.hex() for v in row] for row in rows]
+
+    mats = []
+    for n in (1, 2, 3):
+        ws, points = _hirzebruch_solver_points(n, count=2, seed=n)
+        for p in points:
+            mats += gram_matrices(horizontal_frame(ws, p)).values()
+    rng = np.random.default_rng(9)
+    mats += [rng.standard_normal((4, 5)) * 10.0 ** rng.integers(-310, 308, (4, 5)) for _ in range(40)]
+    mats.append(np.array([[-0.0, 0.0, 5e-324, -2.2e-308], [1e300, -1.7976931348623157e308, 1 / 3, -123456789012.5]]))
+    for mat in mats:
+        want = [[hk_reduction._sig12(v) for v in row] for row in mat]
+        assert bits(hk_reduction._sig12_rows(mat)) == bits(want)
+
+
 def test_gauge_vectors_shape(hirzebruch1, hirzebruch_frame):
     p = CotangentPoint.numeric([0, 0, 1, 0], [0, 0, 0, 1])
     vecs = gauge_vectors(hirzebruch1, p)
