@@ -1,14 +1,15 @@
-"""Exact rational linear algebra: simplex LP, open-cone points, RREF
-kernels, coefficient signs of integer systems, Smith normal form.
+"""Exact rational linear algebra: simplex LP, kernels, cocircuits,
+coefficient signs of integer systems, Smith normal form.
 
 Nothing here uses floating point, so the stability certificates and
 stabilizer invariants built on top are exact.  One fraction-free
 Gauss-Jordan elimination over the integers (`_eliminate`) is behind
-`rref`, `matrix_rank`, `integer_kernel_basis` (and its rational view
+`matrix_rank`, `integer_kernel_basis` (and its rational view
 `kernel_basis`) and `solution_signs`; a rational row is first scaled by
-the lcm of its denominators (`_integer_row`).  `open_cone_point` works in
-plain ints too, so `Fraction` appears only in the results `rref` and
-`kernel_basis` hand back and in the simplex tableau, and the Smith form
+the lcm of its denominators (`_integer_row`).  `cocircuits` reads the
+cocircuits of an integer vector configuration off one-dimensional integer
+kernels, as bitmask pairs, so `Fraction` appears only in the results
+`kernel_basis` hands back and in the simplex tableau, and the Smith form
 works on plain ints.  The LP is a textbook two-phase simplex with Bland's
 rule, which both terminates and makes vertex choices deterministic; the
 problem sizes in this package are tiny (tens of variables), and the
@@ -16,14 +17,14 @@ simplex has not been tuned.  It returns its row multipliers too: an
 optimal dual solution, or a Farkas certificate when the LP is infeasible.
 Only the stability classifier in `git_stability` still solves LPs, one
 per verdict, and reads its certificates off those multipliers; the
-chamber walk asks the strict homogeneous systems it needs of
-`open_cone_point`, which uses a few exact dot products and integer
-kernels and no tableau.
+unstable-locus enumeration composes the cocircuits of `cocircuits` and
+solves none.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 from math import gcd, lcm
 from operator import mul
 from typing import Optional, Sequence
@@ -181,49 +182,6 @@ def _pivot_to_optimum(tab, basis, cost, allowed: int) -> bool:
                 cost[j] -= f * tab[leave][j]
 
 
-def open_cone_point(rows: Sequence[Sequence]) -> Optional[list[int]]:
-    """A primitive integer y with r . y > 0 for every row r, or None if
-    none exists.
-
-    Seidel's incremental method (Seidel 1991) on the open cone: keep y
-    while r_j . y > 0.  Otherwise the rows so far have a point iff they
-    have one on the hyperplane r_j = 0 (the segment from y to any point of
-    the larger cone crosses it), so recurse there in an integer kernel
-    basis of r_j and push the point z found off the hyperplane: y = z +
-    (t/2) r_j with t = num/den = min(1, r_i . z / (-r_i . r_j) over
-    earlier i with r_i . r_j < 0).  The system is homogeneous, so the
-    positive multiple 2 den z + num r_j, divided by its gcd, serves as
-    well, and everything stays in plain ints: a rational row is scaled
-    once by the lcm of its denominators.  A zero row can never be
-    positive, so any zero row means None.
-    """
-    mat = [_integer_row(row) for row in rows]
-    return _open_cone(mat, len(mat[0]) if mat else 0)
-
-
-def _open_cone(rows: list[list[int]], d: int) -> Optional[list[int]]:
-    if any(not any(r) for r in rows):
-        return None
-    y = [0] * d
-    for j, rj in enumerate(rows):
-        if _dot(rj, y) > 0:
-            continue
-        basis = integer_kernel_basis([rj], d)
-        z_coords = _open_cone([[_dot(b, ri) for b in basis] for ri in rows[:j]], d - 1)
-        if z_coords is None:
-            return None
-        z = [sum(c * b[a] for c, b in zip(z_coords, basis)) for a in range(d)]
-        num = den = 1
-        for ri in rows[:j]:
-            rr = _dot(ri, rj)
-            if rr < 0:
-                rz = _dot(ri, z)
-                if rz * den < -rr * num:
-                    num, den = rz, -rr
-        y = integer_primitive([2 * den * za + num * ra for za, ra in zip(z, rj)])
-    return y
-
-
 def _dot(a: Sequence[int], b: Sequence[int]) -> int:
     return sum(map(mul, a, b))
 
@@ -269,12 +227,6 @@ def _eliminate(rows: Sequence[Sequence]) -> tuple[list[list[int]], list[int], in
     return mat, pivots, prev
 
 
-def rref(rows: Sequence[Sequence]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form over the rationals; returns (R, pivot columns)."""
-    mat, pivots, d = _eliminate(rows)
-    return [[Fraction(v, d) for v in row] for row in mat], pivots
-
-
 def solution_signs(cols: Sequence[Sequence[int]], b: Sequence[int]) -> Optional[tuple[int, ...]]:
     """Signs of the coefficients c with sum_j c_j cols[j] = b, or None.
 
@@ -318,6 +270,48 @@ def integer_kernel_basis(rows: Sequence[Sequence], ncols: Optional[int] = None) 
             w[p] = sd * mat[r][f]
         basis.append(integer_primitive(w))
     return basis
+
+
+def cocircuits(vecs: Sequence[Sequence[int]], k: int) -> list[tuple[tuple[int, int], list[int]]]:
+    """The cocircuits of the integer vectors `vecs` in Z^k, each as
+    ((pos, neg), y): y a primitive integer vector and pos, neg the bitmasks
+    {i : vecs[i] . y > 0} and {i : vecs[i] . y < 0}.
+
+    With r the rank of `vecs` and L = ker(vecs) their lineality space, a
+    cocircuit is the sign vector of a y != 0 that vanishes on a hyperplane
+    of the configuration, spanned by r - 1 independent vectors; taken
+    orthogonal to L as well, y is unique up to a scalar.  So each independent
+    (r - 1)-subset with an integer basis of L stacked under it has a
+    one-dimensional integer kernel, and y and -y are its two cocircuits.
+    A subset inside a hyperplane already found spans it or is dependent,
+    and is skipped without an elimination.  Rank 0 has no cocircuits.
+    """
+    lineality = integer_kernel_basis(vecs, k)
+    r = k - len(lineality)
+    if r == 0:
+        return []
+    full = (1 << len(vecs)) - 1
+    flats: list[int] = []
+    out = []
+    for sub in combinations(range(len(vecs)), r - 1):
+        mask = sum(1 << i for i in sub)
+        if any(not mask & ~flat for flat in flats):
+            continue
+        kern = integer_kernel_basis([vecs[i] for i in sub] + lineality, k)
+        if len(kern) != 1:
+            continue
+        y = kern[0]
+        pos = neg = 0
+        for i, v in enumerate(vecs):
+            d = _dot(v, y)
+            if d > 0:
+                pos |= 1 << i
+            elif d < 0:
+                neg |= 1 << i
+        flats.append(full & ~(pos | neg))
+        out.append(((pos, neg), y))
+        out.append(((neg, pos), [-a for a in y]))
+    return out
 
 
 def kernel_basis(rows: Sequence[Sequence], ncols: Optional[int] = None) -> list[list[Fraction]]:

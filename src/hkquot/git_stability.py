@@ -37,20 +37,20 @@ carry the certificate (LP duality; Farkas 1902):
 * certificates and witnesses are primitive integral cocharacters, so they
   can be re-checked by exact mu-weight evaluation.
 
-Unstable-locus enumeration walks the sign cells of the hyperplane
+Unstable-locus enumeration lists the sign cells of the hyperplane
 arrangement {beta^i(xi) = 0} inside the open half-space <theta, xi> < 0;
-each realized sign cell contributes the support S(xi) it destabilizes.
-The walk fixes one line R beta^i per level and carries an exact witness
-xi for every realized sign prefix.  A child cell is realized by the
-parent's witness, by a point on the segment between two witnesses, or by
-one exact open-cone solve (`exactlin.open_cone_point`, Seidel's
-incremental method in plain ints), so the walk solves no LP, asks at most
-one open-cone point per realized prefix, and each cell it reports comes
-with a witness that can be re-checked exactly.  The walk writes each
-solve's rows in a rational kernel basis of the lines assigned 0, and the
-solve scales them to integers once.
-The walk depends only on the lines and theta, which the cotangent system
-`doubled_weights(ws)` shares with ws, so the two share one memoized walk.
+each cell contributes the support S(xi) it destabilizes.  The cells are
+the covectors of the configuration (the distinct lines R beta^i, theta)
+that are negative on theta, and every covector is a composition of
+cocircuits (Bjorner, Las Vergnas, Sturmfels, White and Ziegler, Oriented
+Matroids, 1993).  So the enumeration takes the cocircuits once
+(`exactlin.cocircuits`, one integer kernel per hyperplane) and closes the
+theta-negative ones under composition, on bitmask pairs: it solves no LP
+and does no `Fraction` arithmetic, and each cell it reports comes with a
+primitive integral witness that can be re-checked exactly.  The closure
+depends only on the lines and theta, which the cotangent system
+`doubled_weights(ws)` shares with ws, so the two share one memoized
+closure.
 """
 
 from __future__ import annotations
@@ -64,11 +64,10 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import BoundExceededError, DimensionMismatchError
 from .exactlin import (
+    cocircuits,
     integer_primitive,
     kernel_basis,
     lp_maximize,
-    matrix_rank,
-    open_cone_point,
     smith_invariant_factors,
     solution_signs,
 )
@@ -317,124 +316,86 @@ def unstable_maximal_supports(
     reported only when it is the only destabilized support (then only the
     origin is unstable).  Output is sorted lexicographically.
 
-    The cells come from `_chamber_walk` over the distinct lines R beta^i,
-    which carries an exact witness down the walk and solves no LP: each
-    realized sign prefix costs at most one exact open-cone solve.
-    `doubled_weights(ws)` adds only the opposite weights, so the cotangent
-    system has the same lines and theta: asked right after the base
-    system, it reuses the same walk and solves nothing.
+    The cells are the theta-negative covectors of the distinct lines R
+    beta^i and theta (`_unstable_covectors`), each with an exact witness;
+    no LP is solved.  `doubled_weights(ws)` adds only the opposite
+    weights, so the cotangent system has the same lines and theta: asked
+    right after the base system, it reuses the same covectors and
+    computes nothing.
     """
     if ws.n > bound:
         raise BoundExceededError(f"n={ws.n} exceeds enumeration bound {bound}")
-    zero_idx = [i for i in range(ws.n) if all(v == 0 for v in ws.weights[i])]
-
-    # Group coordinates by the line R beta^i: canonical primitive direction
-    # plus an orientation per index.
-    lines: dict[tuple[int, ...], list[tuple[int, int]]] = {}
-    for i in range(ws.n):
-        w = ws.weights[i]
-        if all(v == 0 for v in w):
-            continue
-        prim = integer_primitive([Fraction(v) for v in w])
-        lead = next(v for v in prim if v != 0)
-        orient = 1
-        if lead < 0:
-            prim = [-v for v in prim]
-            orient = -1
-        lines.setdefault(tuple(prim), []).append((i, orient))
+    # Group coordinates by the line R beta^i, a canonical primitive
+    # direction, into the masks of the indices on its + and - side.
+    lines: dict[tuple[int, ...], list[int]] = {}
+    for i, w in enumerate(ws.weights):
+        if any(w):
+            prim = integer_primitive(w)
+            side = 0 if next(v for v in prim if v) > 0 else 1
+            if side:
+                prim = [-v for v in prim]
+            lines.setdefault(tuple(prim), [0, 0])[side] |= 1 << i
     dirs = tuple(sorted(lines))
+    sides = [lines[q] for q in dirs]
 
-    found: set[frozenset] = set()
-    for signs, _ in _chamber_walk(dirs, ws.theta):
-        S = set(zero_idx)
-        for q, sgn in zip(dirs, signs):
-            for i, orient in lines[q]:
-                if orient * sgn >= 0:
-                    S.add(i)
-        found.add(frozenset(S))
-    nonempty = sorted((s for s in found if s), key=sorted)
-    if nonempty:
-        return nonempty
-    return sorted(found, key=sorted)
+    full = (1 << ws.n) - 1
+    found: set[int] = set()
+    for pos, neg, _ in _unstable_covectors(dirs, ws.theta):
+        # i leaves S(xi) iff beta^i(xi) < 0: i on the - side of a line
+        # with q . xi > 0, or on the + side of one with q . xi < 0
+        out = 0
+        for j, (plus, minus) in enumerate(sides):
+            if pos >> j & 1:
+                out |= minus
+            elif neg >> j & 1:
+                out |= plus
+        found.add(full & ~out)
+    masks = [m for m in found if m] or found
+    return sorted((frozenset(i for i in range(ws.n) if m >> i & 1) for m in masks), key=sorted)
 
 
 @lru_cache(maxsize=1)
-def _chamber_walk(
+def _unstable_covectors(
     dirs: tuple[tuple[int, ...], ...], theta: tuple[Fraction, ...]
-) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
     """The sign cells of the lines `dirs` realized inside {<theta, xi> < 0}.
 
-    Returns (signs, xi) per cell: xi is a primitive integral witness with
-    sign(q . xi) = signs[j] for the j-th line q and <theta, xi> < 0.  The
-    walk fixes one line per level, and every realized prefix carries such
-    a witness xi.  With q the next line and d = q . xi, the children are:
+    Returns (pos, neg, xi) per cell: pos and neg are the bitmasks of the
+    lines q with q . xi > 0 and q . xi < 0, and xi is a primitive integral
+    witness with those signs and <theta, xi> < 0.
 
-    * d != 0: xi realizes the sign(d) child.  One open-cone solve decides
-      the opposite child; if it yields xi', the point of the segment
-      [xi, xi'] on q = 0 realizes the 0-child.  If it does not, neither
-      does the 0-child: the cell is relatively open, so a point of it on
-      q = 0 could be pushed to the opposite side.
-    * d = 0: if q lies in the span of the lines assigned 0, it vanishes on
-      the whole cell and only the 0-child exists.  Otherwise all three are
-      realized: the 0-child by xi, and + and - by one solve each.
-
-    A solve looks for a point of the open cone {sgn q . xi > 0 for the
-    signed lines, <theta, xi> < 0} inside the kernel of the lines assigned
-    0, by `open_cone_point` in a kernel basis; no LP is involved.  The
-    root's witness is -theta; theta = 0 realizes nothing.  That is at most
-    one solve per realized prefix.  The memo holds one arrangement, so
-    nothing is kept from one weight system to the next.
+    The cells are the covectors of the configuration (dirs, theta), theta
+    scaled to ints as the last vector, that are negative on theta.  The
+    closure starts from the cocircuits negative on theta and composes
+    with every cocircuit Y: X o Y = (Xp | Yp & ~Xn, Xn | Yn & ~Xp).  A
+    composition of covectors is a covector and keeps X's sign on theta,
+    so nothing else is reached; and every covector X is the composition
+    of the cocircuits conformal to it (conformal decomposition), one of
+    which is negative on theta when X is, so every cell is reached.  With
+    x the witness of X and y that of Y, z = M x + y with M = 1 + max |v .
+    y| over the vectors v has the signs of X where v . x != 0 and those
+    of Y elsewhere: the witness of X o Y, made primitive.  theta = 0
+    realizes nothing.  The memo holds one configuration, so nothing is
+    kept from one weight system to the next.
     """
     if not any(theta):
         return ()
-    k = len(theta)
-    cells: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
-
-    def witness(signs: list[int]) -> Optional[list[int]]:
-        # a point of {sgn q . xi > 0, <theta, xi> < 0} on the lines assigned
-        # 0, found in a kernel basis of those lines
-        basis = kernel_basis([q for q, sgn in zip(dirs, signs) if sgn == 0], k)
-        rows = [[sgn * sum(a * b for a, b in zip(q, v)) for v in basis]
-                for q, sgn in zip(dirs, signs) if sgn != 0]
-        rows.append([-sum(a * b for a, b in zip(theta, v)) for v in basis])
-        y = open_cone_point(rows)
-        if y is None:
-            return None
-        return integer_primitive(
-            [sum((c * v[a] for c, v in zip(y, basis)), _Z) for a in range(k)]
-        )
-
-    def walk(signs: list[int], xi: list[int], zeros: list[tuple[int, ...]]) -> None:
-        # zeros: a basis of the span of the lines assigned 0 so far
-        if len(signs) == len(dirs):
-            cells.append((tuple(signs), tuple(xi)))
-            return
-        q = dirs[len(signs)]
-        d = sum(a * b for a, b in zip(q, xi))
-        zero_basis = zeros + [q]  # for the 0-child
-        children: dict[int, Optional[list[int]]]
-        if d != 0:
-            s = 1 if d > 0 else -1
-            children = {s: xi, -s: witness(signs + [-s])}
-            other = children[-s]
-            if other is not None:
-                # (d xi' - d' xi) / (d - d'), scaled by |d - d'|
-                d2 = sum(a * b for a, b in zip(q, other))
-                children[0] = integer_primitive(
-                    [s * (d * a - d2 * b) for a, b in zip(other, xi)]
-                )
-        elif matrix_rank(zero_basis) == len(zeros):
-            children = {0: xi}
-            zero_basis = zeros
-        else:
-            children = {1: witness(signs + [1]), 0: xi, -1: witness(signs + [-1])}
-        for sgn in (1, 0, -1):
-            child = children.get(sgn)
-            if child is not None:
-                walk(signs + [sgn], child, zero_basis if sgn == 0 else zeros)
-
-    walk([], integer_primitive([-t for t in theta]), [])
-    return tuple(cells)
+    vecs = list(dirs) + [integer_primitive(theta)]
+    t = 1 << len(dirs)
+    circuits = [
+        (pos, neg, y, 1 + max(abs(sum(a * b for a, b in zip(v, y))) for v in vecs))
+        for (pos, neg), y in cocircuits(vecs, len(theta))
+    ]
+    seen = {(pos, neg): y for pos, neg, y, _ in circuits if neg & t}
+    queue = list(seen)
+    for xp, xn in queue:
+        x = seen[xp, xn]
+        for yp, yn, y, big in circuits:
+            z = (xp | yp & ~xn, xn | yn & ~xp)
+            if z not in seen:
+                seen[z] = integer_primitive([big * a + b for a, b in zip(x, y)])
+                queue.append(z)
+    return tuple((pos, neg & ~t, tuple(xi)) for (pos, neg), xi in seen.items())
 
 
 def stabilizer(ws: WeightSystem, S: Iterable[int]) -> StabilizerInfo:

@@ -28,7 +28,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import BoundExceededError, PreconditionError, UndecidedError
-from .exactlin import kernel_basis
+from .exactlin import integer_kernel_basis, kernel_basis
 from .git_stability import (
     STABLE,
     UNSTABLE,
@@ -100,7 +100,7 @@ def hol_consistent(ws: WeightSystem, T) -> bool:
         return True
     rows = [[ws.weights[i][a] for i in idx] for a in range(ws.rank)]
     covered: set[int] = set()
-    for vec in kernel_basis(rows, len(idx)):
+    for vec in integer_kernel_basis(rows, len(idx)):
         covered |= {idx[j] for j, c in enumerate(vec) if c != 0}
     return covered == set(idx)
 

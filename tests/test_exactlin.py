@@ -1,9 +1,10 @@
-"""Exact linear algebra: simplex LP, rref/kernel, primitive vectors, Smith form."""
+"""Exact linear algebra: simplex LP, kernels, cocircuits, primitive vectors, Smith form."""
 
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 import pytest
@@ -11,16 +12,16 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from hkquot.exactlin import (
+    cocircuits,
     integer_kernel_basis,
     integer_primitive,
     kernel_basis,
     lp_maximize,
     matrix_rank,
-    open_cone_point,
-    rref,
     smith_invariant_factors,
     solution_signs,
 )
+from hkquot.git_stability import _unstable_covectors
 
 from oracles import fraction_rref
 
@@ -172,29 +173,27 @@ def test_lp_random_instances_against_vertex_enumeration():
     assert statuses == {"optimal", "infeasible"}
 
 
-def lp_open_cone_feasible(rows: list[list[int]]) -> bool:
-    """max t s.t. r . y >= t, |y_j| <= 1, t <= 1: positive iff some y has
-    r . y > 0 for every row."""
-    d = len(rows[0])
-    A_ub = [[-F(v) for v in r] + [F(1)] for r in rows]
-    for j in range(d):
-        for sgn in (1, -1):
-            A_ub.append([F(sgn) if i == j else F(0) for i in range(d)] + [F(0)])
-    A_ub.append([F(0)] * d + [F(1)])
-    status, _, value, _ = lp_maximize([F(0)] * d + [F(1)], A_ub, [F(0)] * len(rows) + [F(1)] * (2 * d + 1))
-    assert status == "optimal" and value >= 0
-    return value > 0
+def lp_open_cone_feasible(rows: list[list[int]], eq: Sequence[Sequence[int]] = ()) -> bool:
+    """Whether some y has r . y > 0 for every row r and e . y = 0 for every
+    row e of eq, by Gordan's alternative: iff no lam >= 0 with sum 1 and
+    no mu have sum lam_r r + sum mu_e e = 0, which is one exact LP
+    feasibility test."""
+    p, q, d = len(rows), len(eq), len(rows[0])
+    A_eq = [[r[j] for r in rows] + [e[j] for e in eq] for j in range(d)]
+    A_eq.append([1] * p + [0] * q)
+    A_ub = [[-1 if i == j else 0 for j in range(p + q)] for i in range(p)]
+    return lp_maximize([0] * (p + q), A_ub, [0] * p, A_eq, [0] * d + [1])[0] == "infeasible"
 
 
 @st.composite
-def cone_rows(draw) -> list[list[int]]:
+def cone_rows(draw, mmax: int = 12) -> list[list[int]]:
     """Integer rows in dimension 1..4, with zero rows and parallel and
     opposite copies mixed in, and entries up to 3 or up to 10**6 in size,
     so that coefficient growth is exercised.  Half the draws instead
     orient every row to pair nonnegatively with a hidden point and take
     no zero rows, so that feasible systems are common."""
     d = draw(st.sampled_from([1, 2, 3, 4]))
-    m = draw(st.integers(1, 12))
+    m = draw(st.integers(1, mmax))
     big = draw(st.sampled_from([3, 3, 10**6]))
     entry = st.integers(-big, big)
     hidden = draw(st.one_of(st.none(), st.lists(st.sampled_from([-2, -1, 1, 2]), min_size=d, max_size=d)))
@@ -214,31 +213,91 @@ def cone_rows(draw) -> list[list[int]]:
     return rows
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None,
+@st.composite
+def sign_configurations(draw) -> tuple[list[list[int]], list[int]]:
+    """Up to 5 vectors from `cone_rows`, in a quarter of the draws all on
+    the hyperplane x_d = 0 (rank-deficient), and theta: zero, free, or a
+    positive or negative multiple of one of the vectors."""
+    vecs = draw(cone_rows(mmax=5))
+    d = len(vecs[0])
+    if d > 1 and draw(st.integers(0, 3)) == 0:
+        vecs = [v[:-1] + [0] for v in vecs]
+    kind = draw(st.sampled_from(["zero", "free", "free", "copy"]))
+    if kind == "zero":
+        theta = [0] * d
+    elif kind == "copy":
+        scale = draw(st.sampled_from([-2, -1, 1, 3]))
+        theta = [scale * v for v in draw(st.sampled_from(vecs))]
+    else:
+        theta = draw(st.lists(st.integers(-3, 3), min_size=d, max_size=d))
+    return vecs, theta
+
+
+def sign_masks(vecs, y) -> tuple[int, int]:
+    """({i : vecs[i] . y > 0}, {i : vecs[i] . y < 0}) as bitmasks."""
+    dots = [sum(a * b for a, b in zip(v, y)) for v in vecs]
+    return (sum(1 << i for i, d in enumerate(dots) if d > 0),
+            sum(1 << i for i, d in enumerate(dots) if d < 0))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.too_slow])
-@given(cone_rows())
-@example([[1]])
-@example([[1], [-2]])
-@example([[1], [2], [3]])
-@example([[0]])
-@example([[0, 0, 0]])
-@example([[1, 0], [0, 0]])
-@example([[1, 2], [2, 4]])
-@example([[1, 2], [-1, -2]])
-@example([[1, 0], [-1, 1], [-1, -1]])
-@example([[1, 0, 0]])
-@example([[1, 0, 0, 0], [0, 1, 0, 0]])
-@example([[1, 1], [-1, 0], [0, -1], [1, 0]])
-@example([[1, 0, 0], [0, 1, 0], [-1, -1, 0]])
-@example([[F(1, 2), F(-1, 3)], [F(-2, 3), 1]])
-def test_open_cone_point_matches_lp_oracle(rows):
-    y = open_cone_point(rows)
-    if y is not None:
-        assert len(y) == len(rows[0])
-        assert all(type(v) is int for v in y)
-        assert math.gcd(*y) == 1
-        assert all(sum(a * b for a, b in zip(r, y)) > 0 for r in rows)
-    assert (y is not None) == lp_open_cone_feasible(rows)
+@given(sign_configurations())
+@example(([[1]], [1]))
+@example(([[1], [-2]], [0]))
+@example(([[0]], [0]))
+@example(([[0, 0]], [1, 0]))
+@example(([[1, 2], [2, 4], [-1, -2]], [1, 0]))
+@example(([[1, 0], [0, 1]], [-1, -1]))
+@example(([[1, 0, 0], [0, 1, 0], [1, 1, 0]], [0, 0, 1]))
+@example(([[1, 0, 0], [0, 1, 0]], [1, 1, 0]))
+@example(([[1, 0, 0, 0], [0, 1, 0, 0], [1, -1, 0, 0], [0, 0, 1, 0]], [1, 2, -1, 0]))
+def test_cocircuit_closure_matches_lp_oracle(config):
+    vecs, theta = config
+    d, m = len(theta), len(vecs)
+    full = vecs + [theta]
+
+    def rank(idx) -> int:
+        return len(fraction_rref([full[i] for i in idx])[1])
+
+    # cocircuits: primitive integer vectors with their signs, whose zero
+    # sets are exactly the hyperplanes (flats of rank r - 1), each twice
+    r = rank(range(m + 1))
+    hyperplanes: Counter = Counter()
+    for sub in itertools.combinations(range(m + 1), r - 1) if r else ():
+        if rank(sub) == r - 1:
+            flat = sum(1 << i for i in range(m + 1) if rank(sub + (i,)) == r - 1)
+            hyperplanes[flat] = 2
+    zero_sets: Counter = Counter()
+    for (pos, neg), y in cocircuits(full, d):
+        assert all(type(v) is int for v in y) and math.gcd(*y) == 1
+        assert sign_masks(full, y) == (pos, neg)
+        zero_sets[(1 << (m + 1)) - 1 & ~(pos | neg)] += 1
+    assert zero_sets == hyperplanes
+
+    # the closure: each cell's witness is an exact point with the cell's
+    # signs and <theta, y> < 0; every other sign vector has a first prefix
+    # that no cell extends, and there the LP must find no such point
+    cells = {}
+    for pos, neg, xi in _unstable_covectors(tuple(map(tuple, vecs)), tuple(map(F, theta))):
+        assert all(type(v) is int for v in xi) and math.gcd(*xi) == 1
+        assert sign_masks(vecs, xi) == (pos, neg)
+        assert sum(a * b for a, b in zip(theta, xi)) < 0
+        cells[pos, neg] = xi
+    prefixes = {(pos & (1 << j) - 1, neg & (1 << j) - 1, j)
+                for pos, neg in cells for j in range(m + 1)}
+    stack = [(0, 0, 0)]
+    while stack:
+        pos, neg, j = stack.pop()
+        if (pos, neg, j) in prefixes:
+            if j < m:
+                stack += [(pos | 1 << j, neg, j + 1), (pos, neg, j + 1), (pos, neg | 1 << j, j + 1)]
+            continue
+        signed = [v if pos >> i & 1 else [-a for a in v]
+                  for i, v in enumerate(vecs[:j]) if (pos | neg) >> i & 1]
+        eq = [v for i, v in enumerate(vecs[:j]) if not (pos | neg) >> i & 1]
+        assert not lp_open_cone_feasible(signed + [[-a for a in theta]], eq), (pos, neg, j)
+    _unstable_covectors.cache_clear()
 
 
 @st.composite
@@ -290,8 +349,9 @@ def column_systems(draw):
 @example(([[1], [1]], [1], [1]))
 @example(([[1, 1, 0]], [2, 2, 0], [F(1, 2), F(-2, 3), 1]))
 def test_solution_signs_match_rref(system):
-    # the integer signs, and rref, kernel_basis and matrix_rank on the rows
-    # of [cols | b] scaled by rationals, agree with the Fraction oracle
+    # the integer signs, and kernel_basis, integer_kernel_basis and
+    # matrix_rank on the rows of [cols | b] scaled by rationals, agree with
+    # the Fraction oracle
     cols, b, scales = system
     r = len(cols)
     red, pivots = fraction_rref([[col[a] for col in cols] + [b[a]] for a in range(len(b))])
@@ -301,9 +361,6 @@ def test_solution_signs_match_rref(system):
     assert solution_signs(cols, b) == want
 
     rows = [[s * col[a] for col in cols] + [s * b[a]] for a, s in enumerate(scales)]
-    got_red, got_pivots = rref(rows)
-    assert (got_red, got_pivots) == fraction_rref(rows) == (red, pivots)
-    assert all(type(v) is F for row in got_red for v in row)
     assert matrix_rank(rows) == len(pivots)
     kern = []
     for f in range(r + 1):
@@ -324,10 +381,8 @@ def test_solution_signs_match_rref(system):
     assert [[F(v, w[f]) for v in w] for w, f in zip(ints, free)] == kern
 
 
-def test_rref_and_rank():
-    red, piv = rref([[1, 2, 3], [2, 4, 6], [0, 1, 1]])
-    assert piv == [0, 1]
-    assert red[0][:3] == [F(1), F(0), F(1)]
+def test_matrix_rank():
+    assert matrix_rank([[1, 2, 3], [2, 4, 6], [0, 1, 1]]) == 2
     assert matrix_rank([[1, 2], [3, 4]]) == 2
     assert matrix_rank([[1, 2], [2, 4]]) == 1
     assert matrix_rank([]) == 0

@@ -354,24 +354,24 @@ class WalkRun(NamedTuple):
     want: list  # dfs_unstable_supports of the same two systems
     walk_lps: list  # the LPs of both walk calls
     oracle_lps: list  # the LPs of the oracle on ws alone
-    walks: list  # (dirs, theta, cells) of each `_chamber_walk` call
+    walks: list  # (dirs, theta, cells) of each `_unstable_covectors` call
 
 
 @pytest.fixture(scope="module")
 def walk_runs() -> list[WalkRun]:
-    """The chamber walk and the DFS oracle on seeded draws, DEGENERATE and
-    COPLANAR."""
+    """The covector closure and the DFS oracle on seeded draws, DEGENERATE
+    and COPLANAR."""
     rng = np.random.default_rng(17)
     systems = [random_weight_system(rng, nmax=3) for _ in range(200)]
     systems += [random_weight_system(rng, nmax=6) for _ in range(12)]
     solved: dict = {}
     log: list = []
     walks: list = []
-    walk = git_stability._chamber_walk
+    walk = git_stability._unstable_covectors
 
     def memo_lp(*args):
-        # lp_maximize is deterministic, and the walk and the oracle ask many
-        # of the same LPs: solve each once per system
+        # lp_maximize is deterministic, and the oracle asks many of the
+        # same LPs on ws and its cotangent system: solve each once per system
         key = repr(args)
         log.append(key)
         if key not in solved:
@@ -386,7 +386,7 @@ def walk_runs() -> list[WalkRun]:
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(git_stability, "lp_maximize", memo_lp)
         mp.setattr(oracles, "lp_maximize", memo_lp)
-        mp.setattr(git_stability, "_chamber_walk", recording)
+        mp.setattr(git_stability, "_unstable_covectors", recording)
         for ws in systems + list(DEGENERATE) + list(COPLANAR):
             walk.cache_clear()
             solved.clear()
@@ -410,26 +410,27 @@ def test_chamber_walk_matches_dfs_oracle(walk_runs):
 
 
 def test_chamber_walk_witnesses(walk_runs):
-    # every cell carries an exact certificate: its witness has the cell's
-    # sign vector, pairs negatively with theta, and destabilizes S(xi)
+    # every cell carries an exact certificate: its witness is a primitive
+    # integer vector with the cell's signs, pairs negatively with theta,
+    # and destabilizes S(xi)
     for ws, got, _, _, _, walks in walk_runs:
-        # the base and the cotangent system share one arrangement
+        # the base and the cotangent system share one configuration
         assert len(walks) == 2 and walks[0] == walks[1]
         dirs, theta, cells = walks[0]
         assert theta == ws.theta
-        assert len({signs for signs, _ in cells}) == len(cells)
-        for signs, xi in cells:
-            assert all(isinstance(v, int) for v in xi)
+        assert len({(pos, neg) for pos, neg, _ in cells}) == len(cells)
+        for pos, neg, xi in cells:
+            assert all(type(v) is int for v in xi)
             assert math.gcd(*xi) == 1
             assert ws.theta_pairing(xi) < 0
-            for q, sgn in zip(dirs, signs, strict=True):
+            for j, q in enumerate(dirs):
                 d = sum(a * b for a, b in zip(q, xi))
-                assert (d > 0) - (d < 0) == sgn
+                assert (d > 0, d < 0) == (bool(pos >> j & 1), bool(neg >> j & 1))
         # the supports are exactly what the witnesses destabilize
         for target, supports in zip((ws, doubled_weights(ws)), got):
             family = {
                 frozenset(i for i in range(target.n) if target.weight_pairing(i, xi) >= 0)
-                for _, xi in cells
+                for _, _, xi in cells
             }
             if any(family):
                 family.discard(frozenset())
@@ -437,41 +438,44 @@ def test_chamber_walk_witnesses(walk_runs):
 
 
 def test_chamber_walk_issues_no_lp(monkeypatch, walk_runs):
+    # the closure solves no LP, takes at most one integer kernel per
+    # (r - 1)-subset of its m vectors (the lines and theta, of rank r) plus
+    # one for their lineality space, and is memoized for one configuration
     calls: list = []
     solves: list = []
     monkeypatch.setattr(git_stability, "lp_maximize", counting_lp(calls))
     monkeypatch.setattr(exactlin, "lp_maximize", counting_lp(calls))
-    monkeypatch.setattr(git_stability, "open_cone_point", counting_calls(solves, exactlin.open_cone_point))
-    git_stability._chamber_walk.cache_clear()
+    monkeypatch.setattr(
+        exactlin, "integer_kernel_basis", counting_calls(solves, exactlin.integer_kernel_basis)
+    )
+    git_stability._unstable_covectors.cache_clear()
 
-    def walk_solves(ws) -> int:
+    def closure_solves(ws) -> int:
         solves.clear()
         unstable_maximal_supports(ws)
         return len(solves)
 
     sigma1, sigma8 = hirzebruch_weight_system(1), hirzebruch_weight_system(8)
-    first = walk_solves(sigma1)
+    first = closure_solves(sigma1)
     assert first > 0
-    # the cotangent call right after the base call reuses the walk
-    assert walk_solves(doubled_weights(sigma1)) == 0
-    assert walk_solves(sigma8) > 0
-    assert walk_solves(doubled_weights(sigma8)) == 0
-    # the memo holds one arrangement: back on Sigma_1 the walk runs again
-    assert walk_solves(sigma1) == first
-    for ws in COPLANAR:
-        walk_solves(ws)
-        walk_solves(doubled_weights(ws))
-    # at most one open-cone solve per realized sign prefix, over the base
-    # and the cotangent call; every prefix of a realized cell is realized,
-    # and every realized prefix extends to a cell
+    # the cotangent call right after the base call computes nothing
+    assert closure_solves(doubled_weights(sigma1)) == 0
+    assert closure_solves(sigma8) > 0
+    assert closure_solves(doubled_weights(sigma8)) == 0
+    # the memo holds one configuration: back on Sigma_1 it recomputes
+    assert closure_solves(sigma1) == first
     for run in walk_runs:
         assert run.walk_lps == [], run.ws
-        git_stability._chamber_walk.cache_clear()
-        n_solves = walk_solves(run.ws) + walk_solves(doubled_weights(run.ws))
-        cells = run.walks[0][2]
-        prefixes = {signs[:j] for signs, _ in cells for j in range(1, len(signs) + 1)}
-        assert n_solves <= len(prefixes), run.ws
-    git_stability._chamber_walk.cache_clear()
+        git_stability._unstable_covectors.cache_clear()
+        n_solves = closure_solves(run.ws) + closure_solves(doubled_weights(run.ws))
+        dirs, theta, _ = run.walks[0]
+        if any(theta):
+            vecs = list(dirs) + [list(theta)]
+            r = exactlin.matrix_rank(vecs)
+            assert n_solves <= math.comb(len(vecs), r - 1) + 1, run.ws
+        else:
+            assert n_solves == 0, run.ws
+    git_stability._unstable_covectors.cache_clear()
     assert calls == []
 
 
@@ -601,10 +605,24 @@ def test_chamber_walk_matches_dfs_oracle_on_degenerate_systems(ws):
     # zero weights, repeated and opposite lines, rank-deficient supports,
     # theta = 0 and theta on the ray of a weight, on ws and its cotangent
     # system
-    git_stability._chamber_walk.cache_clear()
+    git_stability._unstable_covectors.cache_clear()
     for target in (ws, doubled_weights(ws)):
         assert unstable_maximal_supports(target) == dfs_unstable_supports(target)
-    git_stability._chamber_walk.cache_clear()
+    git_stability._unstable_covectors.cache_clear()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.one_of(small_systems(), st.sampled_from(DEGENERATE)), st.data())
+def test_doubled_stabilizer_lattice_identity(ws, data):
+    # the doubled rows on U are the rows of ws on sx | sz, some negated or
+    # repeated, so they span the same lattice: hk_candidate_strata takes one
+    # Smith form per ws-support on this identity
+    n, dws = ws.n, doubled_weights(ws)
+    for m in data.draw(st.lists(st.integers(0, 4**n - 1), min_size=1, max_size=8)):
+        U = {i for i in range(2 * n) if m >> i & 1}
+        sx, sz = {i for i in U if i < n}, {i - n for i in U if i >= n}
+        assert stabilizer(dws, U) == stabilizer(ws, sx | sz), (ws, sorted(U))
 
 
 def test_quotient_smooth_matches_loop_oracle():
@@ -629,33 +647,35 @@ def test_analyze_semistable_budget(monkeypatch, hirzebruch1):
     rng = np.random.default_rng(37)
     systems = [hirzebruch1, hirzebruch_weight_system(2)] + list(DEGENERATE)
     systems += [random_weight_system(rng, nmax=5) for _ in range(6)]
-    ranks, stabs = [], []
+    circuits, stabs = [], []
     monkeypatch.setattr(
-        git_stability, "matrix_rank", counting_calls(ranks, exactlin.matrix_rank)
+        git_stability, "cocircuits", counting_calls(circuits, exactlin.cocircuits)
     )
     monkeypatch.setattr(
         git_stability, "stabilizer", counting_calls(stabs, git_stability.stabilizer)
     )
     for ws in systems:
-        # the semistable paths take no rank test: cmd_analyze makes only
-        # the walk's own
-        git_stability._chamber_walk.cache_clear()
-        ranks.clear()
+        # the semistable paths take no cocircuits: cmd_analyze takes only
+        # the unstable enumeration's one pass, shared with the cotangent
+        # system
+        git_stability._unstable_covectors.cache_clear()
+        circuits.clear()
         unstable_maximal_supports(ws)
         unstable_maximal_supports(doubled_weights(ws))
-        walk_ranks = len(ranks)
-        git_stability._chamber_walk.cache_clear()
+        assert len(circuits) == (1 if any(ws.theta) else 0)
+        walk_circuits = len(circuits)
+        git_stability._unstable_covectors.cache_clear()
         git_stability._basis_masks.cache_clear()
-        ranks.clear()
+        circuits.clear()
         stabs.clear()
         cmd_analyze(RunConfig(), analyze_json(ws))
-        assert len(ranks) == walk_ranks
+        assert len(circuits) == walk_circuits
         # one signed-basis pass serves ws and the cotangent system
         assert git_stability._basis_masks.cache_info().misses == 1
         # the strata behind `smooth` and `kahler_strata` are computed once
         supports = [frozenset(args[1]) for args in stabs]
         assert sorted(supports, key=sorted) == semistable_supports(ws)
-    ranks.clear()
+    circuits.clear()
     for ws in systems[:3]:
         semistable_support(ws, range(ws.n))
         semistable_supports(ws)
@@ -663,7 +683,7 @@ def test_analyze_semistable_budget(monkeypatch, hirzebruch1):
         kahler_strata(ws)
         quotient_smooth(ws)
         hk_candidate_strata(ws)
-    assert ranks == []
+    assert circuits == []
     git_stability._basis_masks.cache_clear()
 
 
