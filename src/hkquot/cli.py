@@ -14,7 +14,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
-from itertools import islice
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Optional
 
@@ -240,16 +240,125 @@ def _flatten(prefix: str, value, rows: list):
         rows.append((prefix, json.dumps(value)))
 
 
-_ENCODE = json.JSONEncoder(sort_keys=True, indent=2).iterencode
+def _float_json(f: float) -> str:
+    # json's spelling of the non-finite floats, float.__repr__ otherwise
+    if f != f:
+        return "NaN"
+    if f == math.inf:
+        return "Infinity"
+    if f == -math.inf:
+        return "-Infinity"
+    return float.__repr__(f)
+
+
+#: the JSON text of a scalar, by its exact type
+_SCALAR_JSON = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    float: _float_json,
+    bool: {False: "false", True: "true"}.__getitem__,
+    type(None): lambda _: "null",
+}
+
+
+def _scalar_json(o) -> Optional[str]:
+    """The JSON text of a scalar of any type, subclasses included (json's
+    isinstance order), or None for anything else."""
+    f = _SCALAR_JSON.get(type(o))
+    if f is not None:
+        return f(o)
+    if isinstance(o, str):
+        return encode_basestring_ascii(o)
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        return _float_json(o)
+    return None
+
+
+def _key_json(key) -> str:
+    text = _scalar_json(key)
+    if text is None:
+        raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+    return text if isinstance(key, str) else '"' + text + '"'
+
+
+def _write_json(o, nl: str, out: list, chunks: list) -> None:
+    """Append json.dumps(o, sort_keys=True, indent=2) to `out` in pieces,
+    o standing at the line break and indent `nl`.
+
+    json writes with its C encoder only when indent is None; with an
+    indent every token goes through nested Python generators.  Here a list
+    of exact ints, or of exact finite floats, is one join, and a scalar is
+    looked up by its exact type (`_SCALAR_JSON`); subclasses and numpy
+    floats take json's isinstance order, and whatever json rejects raises
+    TypeError.  There is no circular-reference check.  Once `out` holds
+    more than 4096 pieces they are joined onto `chunks`, so a large
+    payload is not held once per piece.
+    """
+    f = _SCALAR_JSON.get(type(o))
+    if f is not None:
+        out.append(f(o))
+        return
+    if isinstance(o, dict):
+        if not o:
+            out.append("{}")
+            return
+        inner = nl + "  "
+        head, sep = "{" + inner, "," + inner
+        for key, value in sorted(o.items()):
+            key = encode_basestring_ascii(key) if type(key) is str else _key_json(key)
+            f = _SCALAR_JSON.get(type(value))
+            if f is not None:
+                out.append(head + key + ": " + f(value))
+            else:
+                out.append(head + key + ": ")
+                _write_json(value, inner, out, chunks)
+            head = sep
+        out.append(nl + "}")
+    elif isinstance(o, (list, tuple)):
+        if not o:
+            out.append("[]")
+            return
+        inner = nl + "  "
+        head, sep = "[" + inner, "," + inner
+        kinds = set(map(type, o))
+        if kinds == {int}:
+            out.append(head + sep.join(map(int.__repr__, o)) + nl + "]")
+            return
+        if kinds == {float}:
+            text = sep.join(map(float.__repr__, o))
+            if "n" not in text:  # no nan or inf, which json spells NaN and Infinity
+                out.append(head + text + nl + "]")
+                return
+        for value in o:
+            f = _SCALAR_JSON.get(type(value))
+            if f is not None:
+                out.append(head + f(value))
+            else:
+                out.append(head)
+                _write_json(value, inner, out, chunks)
+            head = sep
+        out.append(nl + "]")
+    else:
+        text = _scalar_json(o)
+        if text is None:
+            raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+        out.append(text)
+        return
+    if len(out) > 4096:
+        chunks.append("".join(out))
+        out.clear()
 
 
 def render(payload: dict, fmt: str) -> str:
     if fmt == "json":
-        # json.dumps(payload, sort_keys=True, indent=2), joined in batches
-        # of pieces so that the pieces of a large payload are not all held
-        # in one list
-        pieces = _ENCODE(payload)
-        return "".join(first + "".join(islice(pieces, 4095)) for first in pieces)
+        # the text of json.dumps(payload, sort_keys=True, indent=2)
+        out: list[str] = []
+        chunks: list[str] = []
+        _write_json(payload, "\n", out, chunks)
+        chunks.append("".join(out))
+        return "".join(chunks)
     if payload.get("command") == "hirzebruch" and fmt == "table":
         return hirzebruch_report_text(payload)
     rows: list[tuple[str, str]] = []

@@ -16,9 +16,10 @@ problem sizes in this package are tiny (tens of variables), and the
 simplex has not been tuned.  It returns its row multipliers too: an
 optimal dual solution, or a Farkas certificate when the LP is infeasible.
 Only the stability classifier in `git_stability` still solves LPs, one
-per verdict, and reads its certificates off those multipliers; the
-unstable-locus enumeration composes the cocircuits of `cocircuits` and
-solves none.
+per verdict, and reads its certificates off those multipliers.  The
+users of `cocircuits` solve none: the unstable-locus enumeration composes
+the cocircuits, and the compactness predicate asks whether the
+nonnegative ones cover every weight (Gordan's alternative).
 """
 
 from __future__ import annotations

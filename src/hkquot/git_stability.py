@@ -12,9 +12,12 @@ bases, and the same signed T, read with their signs, are the positive
 bases of the cotangent system (beta, -beta).  That pass is memoized for
 one system, so `semistable_supports` (the up-closure of the bases, on
 bitmasks), `kahler_strata` and the cotangent supports of
-`cotangent_semistable_masks` share it.  `semistable_support` and
-`quotient_compact` stop at the first positive basis.  None of them
-solves an LP or does `Fraction` arithmetic per candidate.  A verdict with
+`cotangent_semistable_masks` share it.  `semistable_support` stops at
+the first positive basis.  `quotient_compact` decides compactness by
+Gordan's alternative on the cocircuits of the weights
+(`exactlin.cocircuits`): some xi is positive on every weight iff the
+nonnegative cocircuits cover every index.  None of them solves an LP or
+does `Fraction` arithmetic per candidate.  A verdict with
 certificate costs exactly one LP, the membership LP, whose row multipliers
 carry the certificate (LP duality; Farkas 1902):
 
@@ -65,8 +68,8 @@ from typing import Iterable, Iterator, Optional, Sequence
 from .errors import BoundExceededError, DimensionMismatchError
 from .exactlin import (
     cocircuits,
+    integer_kernel_basis,
     integer_primitive,
-    kernel_basis,
     lp_maximize,
     smith_invariant_factors,
     solution_signs,
@@ -274,7 +277,7 @@ def _classify_support_cached(ws: WeightSystem, S: tuple[int, ...]) -> StabilityV
     # <theta, xi> <= 0 force B_S xi = 0, which for rank k means xi = 0.
     # Without a kernel and with t* = 0, xi is the LP's boundary witness.
     polystable = topt > 0
-    kern = kernel_basis([ws.weights[i] for i in idx], ws.rank)
+    kern = integer_kernel_basis([ws.weights[i] for i in idx], ws.rank)
     if kern:
         xi = kern[0]
     elif polystable:
@@ -490,15 +493,19 @@ def strata_smoothness(strata: Sequence[StratumRecord]) -> tuple[bool, Optional[f
 def quotient_compact(ws: WeightSystem) -> bool:
     """True iff the recession cone {s >= 0, sum s_i beta^i = 0} is trivial.
 
-    A nonzero s scales to sum s_i = 1, so the cone is trivial iff
-    (0, ..., 0, 1) is not in Cone{(beta^i, 1)}.
+    By Gordan's alternative that holds iff some xi has beta^i(xi) > 0 for
+    every i.  Such an all-positive covector is the composition of the
+    cocircuits conformal to it, which have no negative entry, and a
+    composition of nonnegative cocircuits is positive wherever one of them
+    is; so it exists iff the nonnegative cocircuits of the weights cover
+    every index.  A zero weight is positive in no cocircuit, and n = 0 is
+    compact.
     """
-    lifted = WeightSystem(
-        ws.rank + 1,
-        tuple(w + (1,) for w in ws.weights),
-        (_Z,) * ws.rank + (_I,),
-    )
-    return not semistable_support(lifted, range(ws.n))
+    covered = 0
+    for (pos, neg), _ in cocircuits(ws.weights, ws.rank):
+        if not neg:
+            covered |= pos
+    return covered == (1 << ws.n) - 1
 
 
 def kahler_strata(ws: WeightSystem, bound: int = DEFAULT_BOUND) -> list[StratumRecord]:

@@ -7,7 +7,10 @@ import sys
 from importlib import resources
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 jsonschema = pytest.importorskip("jsonschema")
 
@@ -218,6 +221,74 @@ def test_json_render_matches_json_dumps():
     ]
     for p in payloads:
         assert render(p, "json") == json.dumps(p, sort_keys=True, indent=2)
+
+
+#: floats json spells specially, signed zeros, subnormals, and either side
+#: of repr's switch to exponent notation (at 1e16 and below 1e-4)
+EDGE_FLOATS = (
+    float("nan"), float("inf"), -float("inf"), -0.0, 0.0, 5e-324, 2.2250738585072014e-308,
+    1e16, 9999999999999998.0, 1e-5, 1e-4, 9.999999999999999e-05, 1.5, -2.75e300,
+)
+floats = st.one_of(st.floats(), st.sampled_from(EDGE_FLOATS))
+scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(-(10**40), 10**40),
+    floats,
+    floats.map(np.float64),
+    st.text(),
+    st.sampled_from(["", "\u00e9\n\"q\"\\", "\x00\x1f\u2028", "θ → ∞, 日本", "\U0001f600"]),
+)
+# lists of exact ints and of exact floats take the writer's one-join path,
+# floats mixed with np.float64 the per-member path
+leaves = st.one_of(
+    scalars,
+    st.lists(st.integers(), max_size=6),
+    st.lists(floats, max_size=6),
+    st.lists(st.one_of(floats, floats.map(np.float64)), max_size=4),
+)
+json_trees = st.recursive(
+    leaves,
+    lambda children: st.one_of(
+        st.lists(children, max_size=5),
+        st.lists(children, max_size=5).map(tuple),
+        st.dictionaries(st.text(max_size=6), children, max_size=5),
+        st.dictionaries(st.integers(-3, 3), children, max_size=3),
+        st.dictionaries(floats, children, max_size=3),
+    ),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(json_trees)
+@example([1, True])
+@example({"a": [1, True], "b": [1.0, 2], "c": [float("nan"), 1.0], "d": (), "e": {}})
+@example([[], {}, [[]], {"k": {}}])
+@example({True: 1, False: 2})
+@example({None: [np.float64("nan"), np.float64(-0.0), np.float64(1e16)]})
+@example(10**100)
+def test_json_render_matches_json_dumps_on_random_trees(tree):
+    assert render(tree, "json") == json.dumps(tree, sort_keys=True, indent=2)
+
+
+def test_json_render_rejects_what_json_rejects():
+    bad = [
+        np.int64(3),
+        {1, 2},
+        [1, np.int64(2)],
+        [np.int64(1)],
+        {"a": {"b": [np.int64(1)]}},
+        {"s": {0.5}},
+        {(1, 2): 0},
+        [object()],
+    ]
+    for payload in bad:
+        with pytest.raises(TypeError):
+            json.dumps(payload, sort_keys=True, indent=2)
+        with pytest.raises(TypeError):
+            render(payload, "json")
 
 
 def test_csv_and_table_render(capsys):

@@ -625,6 +625,16 @@ def test_doubled_stabilizer_lattice_identity(ws, data):
         assert stabilizer(dws, U) == stabilizer(ws, sx | sz), (ws, sorted(U))
 
 
+@settings(max_examples=300, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.one_of(small_systems(nmax=6), st.sampled_from(DEGENERATE)))
+def test_quotient_compact_matches_lp_oracle(ws):
+    # Gordan's alternative on the cocircuits against the recession-cone LP,
+    # with zero weights, repeated and opposite lines, rank-deficient
+    # systems and n = 0 among the draws
+    assert quotient_compact(ws) == lp_quotient_compact(ws), ws
+
+
 def test_quotient_smooth_matches_loop_oracle():
     # the offending support, read off the strata, is the one the old
     # one-Smith-form-per-support loop reported
@@ -647,39 +657,46 @@ def test_analyze_semistable_budget(monkeypatch, hirzebruch1):
     rng = np.random.default_rng(37)
     systems = [hirzebruch1, hirzebruch_weight_system(2)] + list(DEGENERATE)
     systems += [random_weight_system(rng, nmax=5) for _ in range(6)]
-    circuits, stabs = [], []
+    circuits, signs, stabs = [], [], []
     monkeypatch.setattr(
         git_stability, "cocircuits", counting_calls(circuits, exactlin.cocircuits)
+    )
+    monkeypatch.setattr(
+        git_stability, "solution_signs", counting_calls(signs, exactlin.solution_signs)
     )
     monkeypatch.setattr(
         git_stability, "stabilizer", counting_calls(stabs, git_stability.stabilizer)
     )
     for ws in systems:
-        # the semistable paths take no cocircuits: cmd_analyze takes only
-        # the unstable enumeration's one pass, shared with the cotangent
-        # system
+        # the unstable enumeration takes one cocircuit pass, shared with the
+        # cotangent system, and none when theta = 0
         git_stability._unstable_covectors.cache_clear()
         circuits.clear()
         unstable_maximal_supports(ws)
         unstable_maximal_supports(doubled_weights(ws))
         assert len(circuits) == (1 if any(ws.theta) else 0)
-        walk_circuits = len(circuits)
         git_stability._unstable_covectors.cache_clear()
         git_stability._basis_masks.cache_clear()
         circuits.clear()
         stabs.clear()
         cmd_analyze(RunConfig(), analyze_json(ws))
-        assert len(circuits) == walk_circuits
+        # cmd_analyze adds exactly one pass, for compactness; the semistable
+        # paths take none
+        assert len(circuits) == (1 if any(ws.theta) else 0) + 1
         # one signed-basis pass serves ws and the cotangent system
         assert git_stability._basis_masks.cache_info().misses == 1
         # the strata behind `smooth` and `kahler_strata` are computed once
         supports = [frozenset(args[1]) for args in stabs]
         assert sorted(supports, key=sorted) == semistable_supports(ws)
+        # quotient_compact is one cocircuit pass and no signed bases
+        circuits.clear()
+        signs.clear()
+        quotient_compact(ws)
+        assert len(circuits) == 1 and signs == []
     circuits.clear()
     for ws in systems[:3]:
         semistable_support(ws, range(ws.n))
         semistable_supports(ws)
-        quotient_compact(ws)
         kahler_strata(ws)
         quotient_smooth(ws)
         hk_candidate_strata(ws)
