@@ -94,12 +94,22 @@ def _load_weights(arg: str) -> WeightSystem:
         raise CliError(f"invalid weight system: {exc}") from None
 
 
+def _numeric_part(v) -> float:
+    """float(parse_rational(v)) without the Fraction for an exact int or a
+    finite exact float: both round the same, and + 0.0 turns -0.0 into the
+    0.0 that Fraction(-0.0) gives."""
+    t = type(v)
+    if t is int or (t is float and math.isfinite(v)):
+        return float(v) + 0.0
+    return float(parse_rational(v))
+
+
 def _numeric_scalar(v) -> complex:
     if isinstance(v, (list, tuple)):
         if len(v) != 2:
             raise CliError(f"coordinate must be [re, im], got {v!r}")
-        return complex(float(parse_rational(v[0])), float(parse_rational(v[1])))
-    return complex(float(parse_rational(v)), 0.0)
+        return complex(_numeric_part(v[0]), _numeric_part(v[1]))
+    return complex(_numeric_part(v), 0.0)
 
 
 def _load_point(arg: str, mode: str):
@@ -165,18 +175,19 @@ def cmd_kn(cfg: RunConfig, weights: str, point: str, hyperkahler: bool) -> dict:
         if not isinstance(p, CotangentPoint):
             raise CliError("--hyperkahler requires an x/z point")
         out = solve_hyperkahler(ws, p, tol=cfg.tol)
-        trace_ws, trace_v = doubled_weights(ws), p.as_doubled_ambient()
     else:
         if isinstance(p, CotangentPoint):
             raise CliError("plain kn takes an ambient point; pass --hyperkahler for x/z")
         out = solve_kahler(ws, p, tol=cfg.tol)
-        trace_ws, trace_v = ws, p
     payload = {"schema": 1, "command": "kn", "outcome": out.to_json()}
     if cfg.trace:
         xi = out.certificate if out.certificate is not None else out.xi_star
         xi = [0.0] * ws.rank if xi is None else xi
         grid = [float(t) for t in np.linspace(0.0, 30.0, 31)]
-        values = flow_trace(trace_ws, trace_v, xi, grid)
+        if hyperkahler:
+            values = flow_trace(doubled_weights(ws), p.as_doubled_ambient(), xi, grid)
+        else:
+            values = flow_trace(ws, p, xi, grid)
         payload["trace"] = {
             "t": grid,
             "value": [float(v) if math.isfinite(v) else "inf" for v in values],

@@ -35,7 +35,6 @@ from .rep_core import (
     WeightSystem,
     apply_quaternion,
     cotangent_from_real,
-    doubled_weights,
     support,
 )
 
@@ -133,7 +132,7 @@ def horizontal_frame(ws: WeightSystem, p: CotangentPoint, tol: float = MOMENT_TO
     if residual >= tol:
         raise PreconditionError(f"||mu_hk(p)|| = {residual:.3e} >= {tol}; not a moment-map zero")
     sx, sz = support(q)
-    stab = stabilizer(doubled_weights(ws), set(sx) | {ws.n + i for i in sz})
+    stab = stabilizer(ws, sx | sz)
     if stab.subtorus_rank > 0:
         raise PreconditionError(
             f"support pair ({sorted(sx)}, {sorted(sz)}) has a continuous stabilizer "
@@ -182,13 +181,14 @@ def reduced_operator(frame: ReducedFrame, op: str) -> np.ndarray:
     return H @ apply_quaternion(op, H).T
 
 
-def quaternion_check(frame: ReducedFrame) -> float:
-    """Max operator-norm deviation of the reduced I, J, K from the
-    quaternion relations I~J~ = K~, I~^2 = J~^2 = -id."""
-    It = reduced_operator(frame, "I")
-    Jt = reduced_operator(frame, "J")
-    Kt = reduced_operator(frame, "K")
-    eye = np.eye(frame.dim)
+def _images(H: np.ndarray) -> list[np.ndarray]:
+    """I H, J H and K H, row by row."""
+    return [apply_quaternion(op, H) for op in OPS]
+
+
+def _quaternion_deviation(H: np.ndarray, images: list[np.ndarray]) -> float:
+    It, Jt, Kt = (H @ image.T for image in images)
+    eye = np.eye(H.shape[0])
     devs = [
         np.linalg.norm(It @ Jt - Kt, 2),
         np.linalg.norm(It @ It + eye, 2),
@@ -197,13 +197,24 @@ def quaternion_check(frame: ReducedFrame) -> float:
     return float(max(devs))
 
 
+def _grams(H: np.ndarray, images: list[np.ndarray]) -> dict:
+    out = {"g": H @ H.T}
+    for op, image in zip(OPS, images):
+        out[f"omega_{op}"] = image @ H.T
+    return out
+
+
+def quaternion_check(frame: ReducedFrame) -> float:
+    """Max operator-norm deviation of the reduced I, J, K from the
+    quaternion relations I~J~ = K~, I~^2 = J~^2 = -id."""
+    H = frame.horizontal
+    return _quaternion_deviation(H, _images(H))
+
+
 def gram_matrices(frame: ReducedFrame) -> dict:
     """Gram matrices of g~ and the three omega~ in the horizontal basis."""
     H = frame.horizontal
-    out = {"g": H @ H.T}
-    for op in OPS:
-        out[f"omega_{op}"] = apply_quaternion(op, H) @ H.T
-    return out
+    return _grams(H, _images(H))
 
 
 def _sig12(x: float) -> float:
@@ -216,14 +227,15 @@ def _sig12_rows(mat: np.ndarray) -> list[list[float]]:
 
 
 def frame_report_json(frame: ReducedFrame) -> dict:
-    grams = gram_matrices(frame)
+    H = frame.horizontal
+    images = _images(H)
     return {
         "n": frame.n,
         "k": frame.k,
         "horizontal_dim": frame.dim,
         "mu_residual": _sig12(frame.mu_residual),
-        "quaternion_deviation": _sig12(quaternion_check(frame)),
-        "gram": {key: _sig12_rows(mat) for key, mat in grams.items()},
+        "quaternion_deviation": _sig12(_quaternion_deviation(H, images)),
+        "gram": {key: _sig12_rows(mat) for key, mat in _grams(H, images).items()},
     }
 
 

@@ -12,6 +12,16 @@ yield a divergence certificate, strictly semistable points whose orbit
 does not reach the zero level raise UndecidedError, and polystable points
 are handed to a damped Newton iteration restricted to the row space of
 the support weights (the complement of the flat directions).
+
+With B the (n, k) weight matrix, the gradient in closed form is
+
+    grad KN(xi) = theta - 1/2 B^T |v * e^{-B xi}|^2,
+
+the arithmetic of mu(act_imaginary(ws, xi, 1.0, v)).  The value, gradient
+and Hessian read B, its float copy and theta from the arrays each weight
+system builds once (WeightSystem.numeric_view), so a Newton iteration
+builds no point or moment-value objects; the solver still goes through
+these three public functions, one arithmetic path for every caller.
 """
 
 from __future__ import annotations
@@ -22,9 +32,9 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import PreconditionError, UndecidedError
+from .errors import DimensionMismatchError, PreconditionError, UndecidedError
 from .git_stability import STABLE, UNSTABLE, classify_point
-from .moment_maps import hol_moment, mu, mu_hyperkahler
+from .moment_maps import hol_moment, mu_hyperkahler
 from .rep_core import (
     AmbientPoint,
     Cocharacter,
@@ -69,33 +79,47 @@ class KNOutcome:
 
 def kn_value(ws: WeightSystem, v: AmbientPoint, xi) -> float:
     """KN(xi); +inf on float overflow."""
+    _, beta, theta = ws.numeric_view
     xi_arr = _xi_floats(xi)
-    lam = ws.beta_array().astype(float) @ xi_arr
-    mods = np.array(v.to_numeric().moduli_squared(), dtype=float)
+    lam = beta @ xi_arr
+    mods = np.abs(v.to_numeric().coords) ** 2
     with np.errstate(over="ignore"):
         quad = 0.25 * float(np.dot(mods, np.exp(-2.0 * lam)))
-    val = quad + float(ws.theta_array() @ xi_arr)
+    val = quad + float(theta @ xi_arr)
     return val if math.isfinite(val) else math.inf
 
 
 def _xi_floats(xi) -> np.ndarray:
+    if isinstance(xi, np.ndarray):
+        return np.ascontiguousarray(xi, dtype=float)
     if isinstance(xi, Cocharacter):
         return xi.as_floats()
     return np.array([float(u) for u in xi])
 
 
 def kn_gradient(ws: WeightSystem, v: AmbientPoint, xi) -> np.ndarray:
-    """grad KN(xi) = mu(exp(sqrt(-1) xi) v), as a float vector."""
-    flowed = act_imaginary(ws, _xi_floats(xi), 1.0, v)
-    return mu(ws, flowed).as_floats()
+    """grad KN(xi) = mu(exp(sqrt(-1) xi) v), as a float vector.
+
+    In closed form, theta - 1/2 sum_i |e^{-beta^i(xi)} v_i|^2 beta^i: the
+    arithmetic of mu(act_imaginary(ws, xi, 1.0, v)) on the system's
+    cached arrays, with no point or moment value built.
+    """
+    beta, _, theta = ws.numeric_view
+    xi_arr = _xi_floats(xi)
+    if len(xi_arr) != ws.rank:
+        raise DimensionMismatchError("cocharacter length != rank")
+    coords = v.to_numeric().coords
+    if len(coords) != ws.n:
+        raise DimensionMismatchError("point length != weight count")
+    flowed = coords * np.exp(-(beta @ xi_arr))
+    return theta - 0.5 * (beta.T @ np.abs(flowed) ** 2)
 
 
 def kn_hessian(ws: WeightSystem, v: AmbientPoint, xi) -> np.ndarray:
     """Hess KN(xi) = sum_i |v_i|^2 e^{-2 beta^i(xi)} beta^i beta^i^T (PSD)."""
-    xi_arr = _xi_floats(xi)
-    beta = ws.beta_array().astype(float)
-    lam = beta @ xi_arr
-    mods = np.array(v.to_numeric().moduli_squared(), dtype=float)
+    _, beta, _ = ws.numeric_view
+    lam = beta @ _xi_floats(xi)
+    mods = np.abs(v.to_numeric().coords) ** 2
     with np.errstate(over="ignore"):
         w = mods * np.exp(-2.0 * lam)
     return (beta.T * w) @ beta
@@ -140,13 +164,14 @@ def solve_kahler(
     xi = Q @ eta
     for it in range(maxiter):
         grad_full = kn_gradient(ws, vnum, xi)
-        if float(np.linalg.norm(grad_full)) < tol:
+        gn0 = math.sqrt(grad_full.dot(grad_full))
+        if gn0 < tol:
             rep = act_imaginary(ws, xi, 1.0, vnum)
             return KNOutcome(
                 CONVERGED,
                 xi_star=xi,
                 representative=rep,
-                residual=float(np.linalg.norm(grad_full)),
+                residual=gn0,
                 iterations=it,
             )
         grad = Q.T @ grad_full
@@ -155,20 +180,20 @@ def solve_kahler(
         step = -np.linalg.solve(hess, grad)
         slope = float(grad @ step)
         f0 = kn_value(ws, vnum, xi)
-        gn0 = float(np.linalg.norm(grad_full))
         alpha = 1.0
         while alpha > 2.0**-60:
             trial = eta + alpha * step
-            ftrial = kn_value(ws, vnum, Q @ trial)
+            xi_trial = Q @ trial
+            ftrial = kn_value(ws, vnum, xi_trial)
             if ftrial <= f0 + ARMIJO_C * alpha * slope:
                 break
             # near the minimum the decrease underflows double precision and
             # the value test rejects everything; accept on a strict gradient
             # norm decrease instead (value guarded to within rounding noise)
-            if ftrial <= f0 + 1e-12 * max(1.0, abs(f0)) and (
-                float(np.linalg.norm(kn_gradient(ws, vnum, Q @ trial))) < 0.9 * gn0
-            ):
-                break
+            if ftrial <= f0 + 1e-12 * max(1.0, abs(f0)):
+                g = kn_gradient(ws, vnum, xi_trial)
+                if math.sqrt(g.dot(g)) < 0.9 * gn0:
+                    break
             alpha *= 0.5
         eta = eta + alpha * step
         xi = Q @ eta

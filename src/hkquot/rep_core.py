@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Sequence, Union
 
 import numpy as np
@@ -66,6 +67,15 @@ class WeightSystem:
 
     def theta_array(self) -> np.ndarray:
         return np.array([float(t) for t in self.theta])
+
+    @cached_property
+    def numeric_view(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(beta_array(), its float copy, theta_array()), built once per
+        system and read-only; the numeric hot paths share these arrays."""
+        arrays = (self.beta_array(), self.beta_array().astype(float), self.theta_array())
+        for arr in arrays:
+            arr.flags.writeable = False
+        return arrays
 
     def weight_pairing(self, i: int, xi: Sequence) -> object:
         """beta^i(xi); exact if xi is exact."""
@@ -365,7 +375,8 @@ def apply_quaternion(op: str, v: np.ndarray) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     if v.shape[-1] % 4:
         raise DimensionMismatchError("real vector length must be 4n")
-    xr, xi, yr, yi = np.split(v, 4, axis=-1)
+    n = v.shape[-1] // 4
+    xr, xi, yr, yi = v[..., :n], v[..., n : 2 * n], v[..., 2 * n : 3 * n], v[..., 3 * n :]
     if op == "I":
         blocks = [-xi, xr, yi, -yr]
     elif op == "J":

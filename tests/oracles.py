@@ -5,6 +5,7 @@ integer boxes, closed-form flows, central differences.  Agreement with the
 package is only meaningful if these paths share no code with it.
 """
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -12,7 +13,15 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from hkquot import AmbientPoint, WeightSystem, semistable_supports, stabilizer
+from hkquot import (
+    AmbientPoint,
+    Cocharacter,
+    WeightSystem,
+    act_imaginary,
+    mu,
+    semistable_supports,
+    stabilizer,
+)
 from hkquot.exactlin import integer_primitive, lp_maximize
 
 BOX = 10
@@ -301,3 +310,70 @@ def random_ambient(rng, n: int, zero_prob: float = 0.35) -> AmbientPoint:
 
 def random_cocharacter(rng, k: int, bound: int = 3) -> tuple:
     return tuple(int(v) for v in rng.integers(-bound, bound + 1, size=k))
+
+
+# ---------------------------------------------------------------------------
+# the numeric reduce path as it was first written: every evaluation builds
+# its arrays, points and moment values afresh
+
+
+def _xi_floats(xi) -> np.ndarray:
+    if isinstance(xi, Cocharacter):
+        return xi.as_floats()
+    return np.array([float(u) for u in xi])
+
+
+def kn_value_oracle(ws: WeightSystem, v: AmbientPoint, xi) -> float:
+    xi_arr = _xi_floats(xi)
+    lam = ws.beta_array().astype(float) @ xi_arr
+    mods = np.array(v.to_numeric().moduli_squared(), dtype=float)
+    with np.errstate(over="ignore"):
+        quad = 0.25 * float(np.dot(mods, np.exp(-2.0 * lam)))
+    val = quad + float(ws.theta_array() @ xi_arr)
+    return val if math.isfinite(val) else math.inf
+
+
+def kn_gradient_oracle(ws: WeightSystem, v: AmbientPoint, xi) -> np.ndarray:
+    """mu at the point flowed by exp(sqrt(-1) xi), through the point and
+    moment-value objects."""
+    return mu(ws, act_imaginary(ws, _xi_floats(xi), 1.0, v)).as_floats()
+
+
+def kn_hessian_oracle(ws: WeightSystem, v: AmbientPoint, xi) -> np.ndarray:
+    xi_arr = _xi_floats(xi)
+    beta = ws.beta_array().astype(float)
+    lam = beta @ xi_arr
+    mods = np.array(v.to_numeric().moduli_squared(), dtype=float)
+    with np.errstate(over="ignore"):
+        w = mods * np.exp(-2.0 * lam)
+    return (beta.T * w) @ beta
+
+
+def split_apply_quaternion(op: str, v: np.ndarray) -> np.ndarray:
+    """I, J or K on the last axis, its four blocks cut by np.split."""
+    v = np.asarray(v, dtype=float)
+    xr, xi, yr, yi = np.split(v, 4, axis=-1)
+    blocks = {
+        "I": [-xi, xr, yi, -yr],
+        "J": [-yr, -yi, xr, xi],
+        "K": [yi, -yr, xi, -xr],
+    }[op]
+    return np.concatenate(blocks, axis=-1)
+
+
+def gram_matrices_oracle(H: np.ndarray) -> dict:
+    out = {"g": H @ H.T}
+    for op in ("I", "J", "K"):
+        out[f"omega_{op}"] = split_apply_quaternion(op, H) @ H.T
+    return out
+
+
+def quaternion_check_oracle(H: np.ndarray) -> float:
+    It, Jt, Kt = (H @ split_apply_quaternion(op, H).T for op in ("I", "J", "K"))
+    eye = np.eye(H.shape[0])
+    devs = [
+        np.linalg.norm(It @ Jt - Kt, 2),
+        np.linalg.norm(It @ It + eye, 2),
+        np.linalg.norm(Jt @ Jt + eye, 2),
+    ]
+    return float(max(devs))

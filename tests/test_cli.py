@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 
 jsonschema = pytest.importorskip("jsonschema")
 
-from hkquot.cli import main, render
+from hkquot.cli import _numeric_scalar, main, render
+from hkquot.scalars import parse_rational
 
 HIRZEBRUCH1 = json.dumps(
     {"rank": 2, "weights": [[1, 0], [1, 0], [0, 1], [-1, 1]], "theta": ["1/2", "1/2"]}
@@ -167,6 +168,50 @@ def test_parse_errors_exit_2(capsys):
         main(["--format", "xml", "analyze", DIAG2])
     capsys.readouterr()
     assert exc.value.code == 2
+
+
+def _parsed_via_fraction(v) -> complex:
+    re, im = v if isinstance(v, list) else (v, 0)
+    return complex(float(parse_rational(re)), float(parse_rational(im)))
+
+
+@pytest.mark.parametrize(
+    "v",
+    [
+        2**53 + 1,
+        -(2**53 + 1),
+        10**400,
+        -0.0,
+        5e-324,
+        1e308,
+        "3/4",
+        " -7/3 ",
+        "0.1",
+        [-0.0, -0.0],
+        [2**53 + 1, 5e-324],
+        [1, "1e-5"],
+        float("inf"),
+        float("nan"),
+    ],
+)
+def test_numeric_scalar_matches_fraction_path(v):
+    # exact ints and finite floats skip the Fraction but land on the same
+    # complex number, down to the sign of zero; what fails on one path
+    # fails with the same exception on the other
+    try:
+        want = _parsed_via_fraction(v)
+    except Exception as exc:
+        with pytest.raises(type(exc)):
+            _numeric_scalar(v)
+        return
+    got = _numeric_scalar(v)
+    assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex())
+
+
+def test_numeric_point_rejects_bool_and_text(capsys):
+    for coord in ("true", '"abc"', "[1, true]"):
+        code, out, err = run(capsys, "--mode", "numeric", "classify", DIAG2, f"[{coord}, 1]")
+        assert (code, out) == (2, "") and "invalid point" in err, coord
 
 
 def test_analyze_bound_errors(capsys):

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hkquot import (
     AmbientPoint,
@@ -19,6 +21,7 @@ from hkquot import (
 )
 from hkquot import hk_reduction
 from hkquot.hk_reduction import (
+    ReducedFrame,
     ambient_frame,
     ambient_potential_check,
     circle_action_check,
@@ -37,7 +40,12 @@ from hkquot.hk_reduction import (
 )
 from hkquot.strata_examples import hirzebruch_weight_system
 
-from oracles import mgs_frame, random_weight_system
+from oracles import (
+    gram_matrices_oracle,
+    mgs_frame,
+    quaternion_check_oracle,
+    random_weight_system,
+)
 
 F = Fraction
 
@@ -278,6 +286,53 @@ def test_gram_rounding_matches_per_value_sig12():
     for mat in mats:
         want = [[hk_reduction._sig12(v) for v in row] for row in mat]
         assert bits(hk_reduction._sig12_rows(mat)) == bits(want)
+
+
+def _assert_report_matches_oracle(frame):
+    H = frame.horizontal
+    grams, want = gram_matrices(frame), gram_matrices_oracle(H)
+    assert list(grams) == list(want)
+    for key, mat in grams.items():
+        assert mat.shape == want[key].shape and mat.tobytes() == want[key].tobytes()
+    deviation = quaternion_check_oracle(H)
+    assert quaternion_check(frame).hex() == deviation.hex()
+    report = frame_report_json(frame)
+    assert report["quaternion_deviation"].hex() == hk_reduction._sig12(deviation).hex()
+    assert report["gram"] == {key: hk_reduction._sig12_rows(mat) for key, mat in want.items()}
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 8), st.data())
+def test_frame_report_matches_oracle_images(n, data):
+    # the report takes each quaternion image of H once and shares it between
+    # the Gram matrices and the quaternion check; both match the per-call
+    # formulas bit for bit, on orthonormal and on arbitrary (also strided)
+    # row matrices
+    dim = data.draw(st.integers(1, 4 * n))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    shape = data.draw(st.sampled_from(("orthonormal", "raw", "strided")))
+    if shape == "orthonormal":
+        H = np.linalg.qr(rng.standard_normal((4 * n, dim)))[0].T
+    elif shape == "raw":
+        H = rng.standard_normal((dim, 4 * n))
+    else:
+        H = rng.standard_normal((2 * dim, 4 * n))[::2]
+    zeros = np.zeros(n, dtype=complex)
+    frame = ReducedFrame(
+        ws=None,
+        base_point=CotangentPoint.numeric(zeros, zeros),
+        gauge_raw=np.zeros((0, 4 * n)),
+        gauge=np.zeros((0, 4 * n)),
+        horizontal=H,
+    )
+    _assert_report_matches_oracle(frame)
+
+
+def test_solved_frames_report_matches_oracle():
+    for n in (1, 2, 5):
+        ws, points = _hirzebruch_solver_points(n, count=2, seed=10 + n)
+        for p in points:
+            _assert_report_matches_oracle(horizontal_frame(ws, p))
 
 
 def test_gauge_vectors_shape(hirzebruch1, hirzebruch_frame):

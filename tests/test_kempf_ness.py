@@ -5,10 +5,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from hkquot import (
+    QC,
     AmbientPoint,
+    Cocharacter,
     CotangentPoint,
+    DimensionMismatchError,
     PreconditionError,
     UndecidedError,
     WeightSystem,
@@ -31,7 +36,14 @@ from hkquot.kempf_ness import (
     kn_value,
 )
 
-from oracles import central_gradient, random_ambient, random_weight_system
+from oracles import (
+    central_gradient,
+    kn_gradient_oracle,
+    kn_hessian_oracle,
+    kn_value_oracle,
+    random_ambient,
+    random_weight_system,
+)
 
 F = Fraction
 
@@ -78,6 +90,83 @@ def test_kn_gradient_is_moment_map():
         assert np.allclose(grad, moved, atol=1e-12)
         fd = central_gradient(lambda y: kn_value(ws, v, y), xi, h=1e-5)
         assert np.max(np.abs(fd - grad)) < 1e-6
+
+
+@st.composite
+def kn_inputs(draw):
+    """(ws, v, xi) with k <= 4 and n <= 8: numeric or exact points with zero
+    coordinates, and xi as a list, tuple, ndarray (strided or of ints) or
+    Cocharacter, large enough that the exponentials overflow."""
+    k = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 8))
+    weights = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * k), min_size=n, max_size=n))
+    theta = draw(st.lists(st.fractions(-3, 3, max_denominator=4), min_size=k, max_size=k))
+    ws = WeightSystem(k, tuple(weights), tuple(theta))
+    if draw(st.booleans()):
+        part = st.one_of(st.just(0.0), st.floats(-50, 50))
+        coords = [complex(draw(part), draw(part)) for _ in range(n)]
+        v = AmbientPoint.numeric(coords)
+    else:
+        part = st.one_of(st.just(0), st.fractions(-20, 20, max_denominator=9))
+        v = AmbientPoint.exact([QC.of(draw(part), draw(part)) for _ in range(n)])
+    vals = draw(st.lists(st.one_of(st.floats(-70, 70), st.integers(-70, 70)), min_size=k, max_size=k))
+    form = draw(st.sampled_from(("list", "tuple", "array", "int array", "strided", "exact", "numeric")))
+    if form == "list":
+        xi = vals
+    elif form == "tuple":
+        xi = tuple(vals)
+    elif form == "array":
+        xi = np.array(vals, dtype=float)
+    elif form == "int array":
+        xi = np.array([int(u) for u in vals])
+    elif form == "strided":
+        xi = np.repeat(np.array(vals, dtype=float), 2)[::2]
+    elif form == "exact":
+        xi = Cocharacter.exact_from(int(u) for u in vals)
+    else:
+        xi = Cocharacter.numeric_from(vals)
+    return ws, v, xi
+
+
+def _same_bits(got: np.ndarray, want: np.ndarray) -> bool:
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(kn_inputs())
+# exp(-2 beta(xi)) overflows: the value is +inf, the gradient holds inf and
+# (at the zero coordinate) nan
+@example((WeightSystem(1, ((3,), (-1,)), (F(1, 2),)), AmbientPoint.numeric([0, 1]), [-300.0]))
+@example((WeightSystem(2, ((1, 0), (0, 1)), (F(0), F(1))), AmbientPoint.numeric([0, 0]), (0, 0)))
+def test_kn_evaluations_match_oracle_bit_for_bit(args):
+    # the value, gradient and Hessian read the system's cached arrays and
+    # skip the point and moment-value objects, with the same arithmetic
+    ws, v, xi = args
+    with np.errstate(all="ignore"):
+        value, want = kn_value(ws, v, xi), kn_value_oracle(ws, v, xi)
+        assert type(value) is float and value.hex() == want.hex()
+        assert _same_bits(kn_gradient(ws, v, xi), kn_gradient_oracle(ws, v, xi))
+        assert _same_bits(kn_hessian(ws, v, xi), kn_hessian_oracle(ws, v, xi))
+
+
+def test_kn_gradient_dimension_errors(hirzebruch1):
+    v = AmbientPoint.numeric([1, 0, 1, 0])
+    for xi, point in (([0.0], v), ([0.0, 0.0], AmbientPoint.numeric([1, 0, 1]))):
+        for grad in (kn_gradient, kn_gradient_oracle):
+            with pytest.raises(DimensionMismatchError):
+                grad(hirzebruch1, point, xi)
+
+
+def test_numeric_view_is_shared_and_read_only(hirzebruch1):
+    beta, beta_f, theta = hirzebruch1.numeric_view
+    assert hirzebruch1.numeric_view[0] is beta
+    assert np.array_equal(beta, hirzebruch1.beta_array()) and beta.dtype == np.int64
+    assert _same_bits(beta_f, hirzebruch1.beta_array().astype(float))
+    assert _same_bits(theta, hirzebruch1.theta_array())
+    for arr in (beta, beta_f, theta):
+        with pytest.raises(ValueError):
+            arr[0] = 0
 
 
 def test_kn_hessian_positive_semidefinite():
@@ -140,6 +229,8 @@ def test_solve_agrees_with_classification():
             assert verdict.status == STABLE or verdict.polystable
             rep = mu(ws, out.representative).norm()
             assert rep < 1e-10
+            want = float(np.linalg.norm(kn_gradient_oracle(ws, v, out.xi_star)))
+            assert out.residual == want
         else:
             n_div += 1
             assert verdict.status == UNSTABLE

@@ -6,6 +6,8 @@ from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hkquot import (
     AmbientPoint,
@@ -30,6 +32,8 @@ from hkquot.rep_core import (
     weight_system_from_json,
     weight_system_to_json,
 )
+
+from oracles import split_apply_quaternion
 
 
 def test_weight_system_validation():
@@ -162,6 +166,38 @@ def test_quaternion_acts_on_matrix_rows():
             assert np.array_equal(apply_quaternion(op, M), rowwise)
     with pytest.raises(DimensionMismatchError):
         apply_quaternion("I", np.zeros((2, 6)))
+
+
+@st.composite
+def quaternion_inputs(draw):
+    """Arrays with 4n on the last axis: 1-, 2- and 3-D, contiguous, strided
+    or transposed, float or int, with signed zeros, infinities and nan."""
+    n = draw(st.integers(0, 6))
+    lead = draw(st.sampled_from([(), (1,), (3,), (2, 3), (1, 4, 2)]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    layout = draw(st.sampled_from(("contiguous", "strided", "transposed", "int", "special")))
+    if layout == "strided":
+        v = rng.standard_normal(lead + (8 * n,))[..., ::2]
+    elif layout == "transposed":
+        v = rng.standard_normal((4 * n,) + lead[::-1]).T
+    elif layout == "int":
+        v = rng.integers(-5, 6, lead + (4 * n,))
+    else:
+        v = rng.standard_normal(lead + (4 * n,))
+        if layout == "special":
+            special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324])
+            mask = rng.random(v.shape) < 0.5
+            v[mask] = rng.choice(special, size=int(mask.sum()))
+    return v
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(quaternion_inputs(), st.sampled_from("IJK"))
+def test_apply_quaternion_matches_split_oracle(v, op):
+    # slicing the last axis gives np.split's blocks, bit for bit
+    got, want = apply_quaternion(op, v), split_apply_quaternion(op, v)
+    assert got.dtype == want.dtype and got.shape == want.shape == np.shape(v)
+    assert got.tobytes() == want.tobytes()
 
 
 def test_quaternion_j_moves_x_to_y():
