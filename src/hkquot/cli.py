@@ -28,7 +28,13 @@ from .git_stability import (
     strata_smoothness,
     unstable_maximal_supports,
 )
-from .hk_reduction import frame_report_json, horizontal_frame, reduced_form, reduced_metric
+from .hk_reduction import (
+    Sig12Row,
+    frame_report_json,
+    horizontal_frame,
+    reduced_form,
+    reduced_metric,
+)
 from .kempf_ness import solve_hyperkahler, solve_kahler
 from .moment_maps import flow_trace
 from .rep_core import (
@@ -127,7 +133,7 @@ def _load_point(arg: str, mode: str):
         if mode == "numeric":
             return AmbientPoint.numeric([_numeric_scalar(v) for v in data])
         return ambient_point_from_json(data)
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OverflowError) as exc:
         raise CliError(f"invalid point: {exc}") from None
 
 
@@ -303,9 +309,10 @@ def _write_json(o, nl: str, out: list, chunks: list) -> None:
     of exact ints, or of exact finite floats, is one join, and a scalar is
     looked up by its exact type (`_SCALAR_JSON`); subclasses and numpy
     floats take json's isinstance order, and whatever json rejects raises
-    TypeError.  There is no circular-reference check.  Once `out` holds
-    more than 4096 pieces they are joined onto `chunks`, so a large
-    payload is not held once per piece.
+    TypeError.  A Gram row that carries its text (`Sig12Row`, all exact
+    floats) is written from that text.  There is no circular-reference
+    check.  Once `out` holds more than 4096 pieces they are joined onto
+    `chunks`, so a large payload is not held once per piece.
     """
     f = _SCALAR_JSON.get(type(o))
     if f is not None:
@@ -338,6 +345,9 @@ def _write_json(o, nl: str, out: list, chunks: list) -> None:
             out.append(head + sep.join(map(int.__repr__, o)) + nl + "]")
             return
         if kinds == {float}:
+            if type(o) is Sig12Row and o.json is not None:
+                out.append(head + o.json.replace(", ", sep) + nl + "]")
+                return
             text = sep.join(map(float.__repr__, o))
             if "n" not in text:  # no nan or inf, which json spells NaN and Infinity
                 out.append(head + text + nl + "]")
@@ -450,7 +460,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except CliError as exc:
         print(str(exc), file=sys.stderr)
         return exc.code
-    except (PreconditionError, BoundExceededError, ValueError) as exc:
+    except (PreconditionError, BoundExceededError, ValueError, OverflowError) as exc:
         print(f"precondition error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
     except UndecidedError as exc:

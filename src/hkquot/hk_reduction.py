@@ -187,14 +187,13 @@ def _images(H: np.ndarray) -> list[np.ndarray]:
 
 
 def _quaternion_deviation(H: np.ndarray, images: list[np.ndarray]) -> float:
+    """The largest of the three spectral norms, from one batched SVD."""
+    if not H.shape[0]:
+        return 0.0
     It, Jt, Kt = (H @ image.T for image in images)
     eye = np.eye(H.shape[0])
-    devs = [
-        np.linalg.norm(It @ Jt - Kt, 2),
-        np.linalg.norm(It @ It + eye, 2),
-        np.linalg.norm(Jt @ Jt + eye, 2),
-    ]
-    return float(max(devs))
+    sing = np.linalg.svd(np.stack([It @ Jt - Kt, It @ It + eye, Jt @ Jt + eye]), compute_uv=False)
+    return float(max(sing.max(axis=1)))
 
 
 def _grams(H: np.ndarray, images: list[np.ndarray]) -> dict:
@@ -221,9 +220,40 @@ def _sig12(x: float) -> float:
     return float(f"{x:.12g}")
 
 
-def _sig12_rows(mat: np.ndarray) -> list[list[float]]:
-    """`_sig12` of every entry, one row at a time."""
-    return [list(map(float, map("{:.12g}".format, row))) for row in mat.tolist()]
+class Sig12Row(list):
+    """A row of `_sig12` values that carries its JSON text.
+
+    `json` is the text json.dumps writes for the row's values, joined by
+    ", ": the row's "%.12g" tokens with ".0" appended to integer tokens.
+    For a normal double the shortest repr of float(D), D a decimal of at
+    most 12 digits, has D's digits, since distinct decimals of at most 15
+    digits are distinct doubles (Steele and White 1990; Gay 1990).  Only
+    the layout can differ, and there `json` is None: for "e+1" in the text
+    (repr writes exponents 12 to 15 in fixed point), "e-3" (an exponent of
+    -300 or below may be a subnormal, which has fewer digits) and "n" (nan
+    and inf, which json spells its own way).  The exponents 16 to 19, 100
+    to 199 and -30 to -39 that these substring tests also catch lose
+    nothing but speed.
+    """
+
+    __slots__ = ("json",)
+
+
+def _sig12_rows(mat: np.ndarray) -> list[Sig12Row]:
+    """`_sig12` of every entry, one decimal conversion per entry: each row
+    is formatted once and its floats parsed from the tokens."""
+    fmt = ", ".join(["%.12g"] * mat.shape[1])
+    rows = []
+    for row in mat.tolist():
+        text = fmt % tuple(row)
+        tokens = text.split(", ")
+        out = Sig12Row(map(float, tokens))
+        if "e+1" in text or "e-3" in text or "n" in text:
+            out.json = None
+        else:
+            out.json = ", ".join([t if "." in t or "e" in t else t + ".0" for t in tokens])
+        rows.append(out)
+    return rows
 
 
 def frame_report_json(frame: ReducedFrame) -> dict:

@@ -368,8 +368,10 @@ def gram_matrices_oracle(H: np.ndarray) -> dict:
     return out
 
 
-def quaternion_check_oracle(H: np.ndarray) -> float:
-    It, Jt, Kt = (H @ split_apply_quaternion(op, H).T for op in ("I", "J", "K"))
+def quaternion_deviation_oracle(H: np.ndarray, images) -> float:
+    """The quaternion deviation of H from its I, J, K images as three
+    separate spectral norms."""
+    It, Jt, Kt = (H @ image.T for image in images)
     eye = np.eye(H.shape[0])
     devs = [
         np.linalg.norm(It @ Jt - Kt, 2),
@@ -377,3 +379,7 @@ def quaternion_check_oracle(H: np.ndarray) -> float:
         np.linalg.norm(Jt @ Jt + eye, 2),
     ]
     return float(max(devs))
+
+
+def quaternion_check_oracle(H: np.ndarray) -> float:
+    return quaternion_deviation_oracle(H, [split_apply_quaternion(op, H) for op in ("I", "J", "K")])

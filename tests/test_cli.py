@@ -214,6 +214,23 @@ def test_numeric_point_rejects_bool_and_text(capsys):
         assert (code, out) == (2, "") and "invalid point" in err, coord
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("--mode", "numeric", "classify", DIAG2, "[1e999, 1]"), "invalid point"),
+        (("--mode", "numeric", "classify", DIAG2, f"[{10**400}, 1]"), "invalid point"),
+        (("classify", DIAG2, "[1e999, 1]"), "invalid point"),
+        (("--mode", "numeric", "kn", DIAG2.replace("1/2", "1e999"), "[1, 1]"), "precondition error"),
+        (("kn", DIAG2, '["1e999", 1]'), "precondition error"),
+    ],
+)
+def test_overflowing_input_exits_2(capsys, argv, message):
+    # a coordinate or theta beyond float range is a bad input, as NaN is,
+    # not a traceback
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "") and err.startswith(message)
+
+
 def test_analyze_bound_errors(capsys):
     # --bound caps n in every enumeration of analyze: the base system's
     # first, then the cotangent walk's 2n coordinates

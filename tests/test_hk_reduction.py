@@ -1,12 +1,14 @@
 """Pointwise reduction: horizontal frames, induced metric/forms, checks."""
 
+import json
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from hkquot import (
     AmbientPoint,
@@ -20,8 +22,10 @@ from hkquot import (
     solve_hyperkahler,
 )
 from hkquot import hk_reduction
+from hkquot.cli import render
 from hkquot.hk_reduction import (
     ReducedFrame,
+    Sig12Row,
     ambient_frame,
     ambient_potential_check,
     circle_action_check,
@@ -44,6 +48,7 @@ from oracles import (
     gram_matrices_oracle,
     mgs_frame,
     quaternion_check_oracle,
+    quaternion_deviation_oracle,
     random_weight_system,
 )
 
@@ -286,6 +291,52 @@ def test_gram_rounding_matches_per_value_sig12():
     for mat in mats:
         want = [[hk_reduction._sig12(v) for v in row] for row in mat]
         assert bits(hk_reduction._sig12_rows(mat)) == bits(want)
+
+
+#: either side of each layout switch of "%.12g" and of repr (exponents 12
+#: and 16, below 1e-4), signed zeros, integers, subnormals, nan and inf
+GRAM_EDGES = (
+    0.0, -0.0, 1.0, -3.0, 0.9999999999999998, 1e11, 999999999999.5, 1e12, 1e15, 1e16, 1e19,
+    1e20, 1e-4, 1e-5, 1e-17, -1e-17, 2.2250738585072014e-308, 2.2e-308, 1e-310, 5e-324, 1e-300,
+    1e300, -1.7976931348623157e308, float("nan"), float("inf"), -float("inf"),
+)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(
+    hnp.arrays(
+        np.float64,
+        st.tuples(st.integers(1, 4), st.integers(1, 6)),
+        elements=st.one_of(st.floats(), st.sampled_from(GRAM_EDGES)),
+    )
+)
+@example(np.array(GRAM_EDGES).reshape(2, -1))
+@example(np.array([[1.0, 0.0, -0.0, 1e-17], [2.0, 1e12, 1e15, 1e16]]))
+def test_sig12_row_text_is_json_text(mat):
+    # the text a Gram row carries is what json.dumps writes for its values,
+    # or None where the layouts differ; every other output stays as it was
+    rows = hk_reduction._sig12_rows(mat)
+    for row, entries in zip(rows, mat):
+        assert type(row) is Sig12Row
+        assert [v.hex() for v in row] == [hk_reduction._sig12(x).hex() for x in entries]
+    report = {"horizontal_dim": len(mat), "gram": {"g": rows, "omega_I": rows[::-1]}}
+    plain = json.loads(json.dumps(report))
+    assert render(report, "json") == json.dumps(report, sort_keys=True, indent=2)
+    for fmt in ("json", "table", "csv"):
+        assert render(report, fmt) == render(plain, fmt)
+
+
+def test_quaternion_deviation_matches_three_norms():
+    # one batched SVD gives the three spectral norms bit for bit, on
+    # arbitrary images as well as on the quaternion images of H
+    rng = np.random.default_rng(15)
+    for dim in range(25):
+        for _ in range(4):
+            H = rng.standard_normal((dim, 4 * max(dim, 1))) * 10.0 ** rng.integers(-3, 4)
+            for images in (hk_reduction._images(H), list(rng.standard_normal((3, *H.shape)))):
+                got = hk_reduction._quaternion_deviation(H, images)
+                assert got.hex() == quaternion_deviation_oracle(H, images).hex()
+    assert hk_reduction._quaternion_deviation(np.zeros((0, 8)), [np.zeros((0, 8))] * 3) == 0.0
 
 
 def _assert_report_matches_oracle(frame):
