@@ -15,6 +15,7 @@ import math
 import sys
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
+from operator import attrgetter
 from pathlib import Path
 from typing import Optional
 
@@ -48,7 +49,12 @@ from .rep_core import (
     weight_system_to_json,
 )
 from .scalars import parse_rational
-from .strata_examples import hirzebruch_report_text, hirzebruch_suite, hk_candidate_strata
+from .strata_examples import (
+    CandidateJson,
+    hirzebruch_report_text,
+    hirzebruch_suite,
+    hk_candidate_strata,
+)
 
 EXIT_OK = 0
 EXIT_PRECONDITION = 2
@@ -293,6 +299,12 @@ def _scalar_json(o) -> Optional[str]:
     return None
 
 
+#: the text json.dumps(node, sort_keys=True, indent=2) writes, for a node
+#: that carries it, by exact type: a Gram row or a bare HK candidate; None
+#: sends the node down the generic path
+_NODE_JSON = {Sig12Row: attrgetter("json"), CandidateJson: CandidateJson.text}
+
+
 def _key_json(key) -> str:
     text = _scalar_json(key)
     if text is None:
@@ -309,16 +321,22 @@ def _write_json(o, nl: str, out: list, chunks: list) -> None:
     of exact ints, or of exact finite floats, is one join, and a scalar is
     looked up by its exact type (`_SCALAR_JSON`); subclasses and numpy
     floats take json's isinstance order, and whatever json rejects raises
-    TypeError.  A Gram row that carries its text (`Sig12Row`, all exact
-    floats) is written from that text.  There is no circular-reference
-    check.  Once `out` holds more than 4096 pieces they are joined onto
-    `chunks`, so a large payload is not held once per piece.
+    TypeError.  A node that carries its text (`_NODE_JSON`, by exact
+    type) is written from it, re-indented to `nl`.  That text is made when
+    `cmd_*` builds the payload, so a payload must not be mutated between
+    `cmd_*` and `render`.  There is no circular-reference check.  Once
+    `out` holds more than 4096 pieces they are joined onto `chunks`, so a
+    large payload is not held once per piece.
     """
     f = _SCALAR_JSON.get(type(o))
     if f is not None:
         out.append(f(o))
         return
-    if isinstance(o, dict):
+    f = _NODE_JSON.get(type(o))
+    text = None if f is None else f(o)
+    if text is not None:
+        out.append(text.replace("\n", nl))
+    elif isinstance(o, dict):
         if not o:
             out.append("{}")
             return
@@ -345,9 +363,6 @@ def _write_json(o, nl: str, out: list, chunks: list) -> None:
             out.append(head + sep.join(map(int.__repr__, o)) + nl + "]")
             return
         if kinds == {float}:
-            if type(o) is Sig12Row and o.json is not None:
-                out.append(head + o.json.replace(", ", sep) + nl + "]")
-                return
             text = sep.join(map(float.__repr__, o))
             if "n" not in text:  # no nan or inf, which json spells NaN and Infinity
                 out.append(head + text + nl + "]")

@@ -223,8 +223,8 @@ def _sig12(x: float) -> float:
 class Sig12Row(list):
     """A row of `_sig12` values that carries its JSON text.
 
-    `json` is the text json.dumps writes for the row's values, joined by
-    ", ": the row's "%.12g" tokens with ".0" appended to integer tokens.
+    `json` is the text json.dumps(row, indent=2) writes: the row's "%.12g"
+    tokens, with ".0" appended to integer tokens, one to a line.
     For a normal double the shortest repr of float(D), D a decimal of at
     most 12 digits, has D's digits, since distinct decimals of at most 15
     digits are distinct doubles (Steele and White 1990; Gay 1990).  Only
@@ -251,7 +251,8 @@ def _sig12_rows(mat: np.ndarray) -> list[Sig12Row]:
         if "e+1" in text or "e-3" in text or "n" in text:
             out.json = None
         else:
-            out.json = ", ".join([t if "." in t or "e" in t else t + ".0" for t in tokens])
+            tokens = [t if "." in t or "e" in t else t + ".0" for t in tokens]
+            out.json = "[\n  " + ",\n  ".join(tokens) + "\n]"
         rows.append(out)
     return rows
 

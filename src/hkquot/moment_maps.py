@@ -23,12 +23,12 @@ import numpy as np
 
 from .errors import DimensionMismatchError
 from .rep_core import (
-    SUPPORT_TOL,
     AmbientPoint,
     Cocharacter,
     CotangentPoint,
     WeightSystem,
     exact_abs2,
+    support,
 )
 from .scalars import QC, format_rational
 
@@ -189,7 +189,7 @@ def flow_value(ws: WeightSystem, v: AmbientPoint, xi, t: float) -> float:
     mods = np.array(v.to_numeric().moduli_squared(), dtype=float)
     # only the support contributes; a dead coordinate with a growing
     # exponent would otherwise poison the sum with 0 * inf
-    live = mods > SUPPORT_TOL**2
+    live = sorted(support(v))
     theta_term = float(ws.theta_array() @ xi_arr)
     with np.errstate(over="ignore"):
         scaled = mods[live] * np.exp(-2.0 * lam[live] * t)

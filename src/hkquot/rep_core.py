@@ -27,7 +27,8 @@ import numpy as np
 from .errors import DimensionMismatchError
 from .scalars import QC, PhasedComplex, format_qc, format_rational, parse_qc, parse_rational
 
-#: absolute value below which a numeric coordinate counts as zero
+#: share of a point's largest modulus at or below which a numeric coordinate
+#: counts as zero
 SUPPORT_TOL = 1e-12
 
 
@@ -273,13 +274,22 @@ def support(p: AmbientPoint | CotangentPoint, tol: float = SUPPORT_TOL):
     """Indices of nonzero coordinates.
 
     Ambient points give one frozenset; cotangent points give the pair
-    (supp x, supp z).  Numeric coordinates use the zero threshold tol.
+    (supp x, supp z).  A numeric coordinate counts as zero when its modulus
+    is at most tol times the largest modulus in the point, so a rescaled
+    point keeps its support.
     """
-    if isinstance(p, CotangentPoint):
-        sx = frozenset(i for i, c in enumerate(p.x) if not _is_zero_scalar(c, tol))
-        sz = frozenset(i for i, c in enumerate(p.z) if not _is_zero_scalar(c, tol))
-        return sx, sz
-    return frozenset(i for i, c in enumerate(p.coords) if not _is_zero_scalar(c, tol))
+    cotangent = isinstance(p, CotangentPoint)
+    parts = (p.x, p.z) if cotangent else (p.coords,)
+    if isinstance(parts[0], np.ndarray):
+        mods = [np.abs(part).tolist() for part in parts]
+        cut = tol * max(max(m, default=0.0) for m in mods)
+        sets = [frozenset(i for i, a in enumerate(m) if a > cut) for m in mods]
+    else:
+        sets = [
+            frozenset(i for i, c in enumerate(part) if not _is_zero_scalar(c, tol))
+            for part in parts
+        ]
+    return tuple(sets) if cotangent else sets[0]
 
 
 def doubled_weights(ws: WeightSystem) -> WeightSystem:

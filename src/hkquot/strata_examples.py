@@ -19,9 +19,11 @@ cyclic group of order n acting on the transverse slice.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from typing import Optional, Sequence
 
@@ -73,15 +75,47 @@ class HKStratumCandidate:
     log: tuple[str, ...] = ()
 
     def to_json(self) -> dict:
-        return {
-            "support_x": sorted(self.support_x),
-            "support_z": sorted(self.support_z),
-            "stabilizer": self.stabilizer.to_json(),
-            "status": self.status,
-            "witness": None if self.witness is None else point_to_json(self.witness),
-            "witness_residual": self.witness_residual,
-            "log": list(self.log),
-        }
+        bare = self.witness is None and self.witness_residual is None and not self.log
+        out = (CandidateJson if bare else dict)(
+            support_x=sorted(self.support_x),
+            support_z=sorted(self.support_z),
+            stabilizer=self.stabilizer.to_json(),
+            status=self.status,
+            witness=None if self.witness is None else point_to_json(self.witness),
+            witness_residual=self.witness_residual,
+            log=list(self.log),
+        )
+        if bare:
+            x, z = frozenset(self.support_x), frozenset(self.support_z)
+            out.pieces = tuple(map(_json_piece, (self.stabilizer, self.status, x, z)))
+        return out
+
+
+class CandidateJson(dict):
+    """`HKStratumCandidate.to_json()` with no witness, no residual and an
+    empty log.  `pieces` holds the JSON texts of its stabilizer, status,
+    support_x and support_z, shared by every candidate that has them."""
+
+    __slots__ = ("pieces",)
+
+    def text(self) -> str:
+        """json.dumps(self, sort_keys=True, indent=2), joined from `pieces`."""
+        return (
+            '{\n  "log": [],\n  "stabilizer": %s,\n  "status": %s,\n  "support_x": %s,\n'
+            '  "support_z": %s,\n  "witness": null,\n  "witness_residual": null\n}'
+        ) % self.pieces
+
+
+@lru_cache(maxsize=1 << (STRATA_BOUND + 2))
+def _json_piece(field) -> str:
+    """The JSON text of a candidate's support, stabilizer or status at the
+    indent of its keys, made once for each distinct value (the cache has
+    room for all of a system's supports and stabilizers)."""
+    if isinstance(field, frozenset):
+        field = sorted(field)
+    elif isinstance(field, StabilizerInfo):
+        field = field.to_json()
+    return json.dumps(field, sort_keys=True, indent=2).replace("\n", "\n  ")
 
 
 def _doubled_support(n: int, sx, sz) -> set[int]:

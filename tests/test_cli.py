@@ -4,6 +4,8 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
+from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
@@ -14,8 +16,18 @@ from hypothesis import strategies as st
 
 jsonschema = pytest.importorskip("jsonschema")
 
-from hkquot.cli import _numeric_scalar, main, render
+from hkquot import WeightSystem
+from hkquot.cli import RunConfig, _numeric_scalar, cmd_analyze, main, render
+from hkquot.rep_core import weight_system_to_json
 from hkquot.scalars import parse_rational
+from hkquot.strata_examples import (
+    CandidateJson,
+    certify_stratum,
+    hirzebruch_weight_system,
+    hk_candidate_strata,
+)
+
+from oracles import random_weight_system
 
 HIRZEBRUCH1 = json.dumps(
     {"rank": 2, "weights": [[1, 0], [1, 0], [0, 1], [-1, 1]], "theta": ["1/2", "1/2"]}
@@ -263,8 +275,8 @@ def test_output_is_byte_deterministic(capsys):
             assert code == 0
             runs.append(out)
         assert runs[0] == runs[1]
-    # the chamber walk memo holds one arrangement: a different system in
-    # between must not change the first system's output
+    # the `_unstable_covectors` memo holds one arrangement: a different
+    # system in between must not change the first system's output
     hirzebruch2 = json.dumps(
         {"rank": 2, "weights": [[1, 0], [1, 0], [0, 1], [-2, 1]], "theta": ["1/2", "1/2"]}
     )
@@ -351,6 +363,73 @@ def test_json_render_rejects_what_json_rejects():
             json.dumps(payload, sort_keys=True, indent=2)
         with pytest.raises(TypeError):
             render(payload, "json")
+
+
+def _degenerate_systems():
+    """Seeded random systems, each with a zero weight, a repeated line or
+    theta = 0."""
+    rng = np.random.default_rng(16)
+    for i in range(24):
+        ws = random_weight_system(rng, nmax=5, kmax=3)
+        weights, theta = list(ws.weights), ws.theta
+        j = int(rng.integers(len(weights)))
+        if i % 3 == 0:
+            weights[j] = (0,) * ws.rank
+        elif i % 3 == 1:
+            weights.append(tuple(-2 * v for v in weights[j]))
+        else:
+            theta = (Fraction(0),) * ws.rank
+        yield WeightSystem(ws.rank, tuple(weights), theta)
+
+
+def test_analyze_renders_as_its_plain_payload():
+    # bare HK candidates are written from shared text pieces; every format
+    # must read as the same payload made of plain dicts and lists
+    shapes = set()
+    for ws in _degenerate_systems():
+        payload = cmd_analyze(RunConfig(), json.dumps(weight_system_to_json(ws)))
+        plain = json.loads(json.dumps(payload))
+        for fmt in ("json", "table", "csv"):
+            assert render(payload, fmt) == render(plain, fmt)
+        assert render(payload, "json") == json.dumps(plain, sort_keys=True, indent=2)
+        for c in payload["hk_candidates"]:
+            assert type(c) is CandidateJson
+            stab = c["stabilizer"]
+            shapes.add("finite" if stab["finite_invariants"] else "trivial")
+            shapes.add("subtorus" if stab["order"] is None else "finite order")
+    assert shapes == {"finite", "trivial", "subtorus", "finite order"}
+
+
+def test_json_render_of_certified_and_replaced_candidates(hirzebruch1):
+    cands = hk_candidate_strata(hirzebruch1)
+    bare = next(c for c in cands if c.support_x == {0, 1, 2} and 3 in c.support_z)
+    done = certify_stratum(hirzebruch1, bare, seed=1)
+    assert done.witness is not None
+    theta0 = WeightSystem(1, ((1,), (1,)), (Fraction(0),))
+    cands0 = hk_candidate_strata(theta0)
+    unbalanced = next(c for c in cands0 if c.support_x == {0} and not c.support_z)
+    failed = certify_stratum(theta0, unbalanced, seed=5)
+    assert failed.witness is None and failed.log
+    moved = replace(
+        bare,
+        support_x=frozenset({3}),
+        support_z=frozenset(),
+        stabilizer=hk_candidate_strata(hirzebruch_weight_system(2))[-1].stabilizer,
+        status="moved \"x\"",
+    )
+    candidates = [
+        bare,
+        done,
+        replace(done, log=("first try missed",)),
+        failed,
+        moved,
+        replace(moved, support_x=moved.support_z, support_z=moved.support_x),
+    ]
+    docs = [c.to_json() for c in candidates]
+    assert [type(d) for d in docs] == [CandidateJson, dict, dict, dict] + [CandidateJson] * 2
+    for payload in (docs[0], docs, {"a": {"b": docs, "c": [[docs[-1]]]}}):
+        plain = json.loads(json.dumps(payload))
+        assert render(payload, "json") == json.dumps(plain, sort_keys=True, indent=2)
 
 
 def test_csv_and_table_render(capsys):

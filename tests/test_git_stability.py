@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from hkquot import (
     AmbientPoint,
     BoundExceededError,
+    CotangentPoint,
     DimensionMismatchError,
     WeightSystem,
     classify_point,
@@ -107,6 +108,25 @@ def test_classify_point_examples(hirzebruch1):
     origin = classify_point(hirzebruch1, AmbientPoint.numeric([0, 0, 0, 0]))
     assert origin.status == UNSTABLE
     assert mu_weight(hirzebruch1, AmbientPoint.numeric([0, 0, 0, 0]), origin.certificate) < 0
+
+
+def test_verdicts_do_not_move_when_a_point_is_rescaled():
+    # the zero test is relative to the point's largest modulus: [1, 1] on
+    # CP^1 stays stable at any scale, and no verdict moves under 1e+-8
+    cp1 = WeightSystem(rank=1, weights=((1,), (1,)), theta=(F(1),))
+    for scale in (1.0, 1e-8, 1e-13, 1e8):
+        assert classify_point(cp1, AmbientPoint.numeric([scale, scale])).status == STABLE
+    rng = np.random.default_rng(16)
+    for _ in range(60):
+        ws = random_weight_system(rng)
+        v = random_ambient(rng, ws.n)
+        want = classify_point(ws, v)
+        for scale in (1e-8, 1e8):
+            assert classify_point(ws, AmbientPoint.numeric(scale * v.coords)) == want
+        x, z = random_ambient(rng, ws.n).coords, random_ambient(rng, ws.n).coords
+        want = support(CotangentPoint.numeric(x, z))
+        for scale in (1e-8, 1e8):
+            assert support(CotangentPoint.numeric(scale * x, scale * z)) == want
 
 
 def test_certificates_are_exact_and_primitive(hirzebruch1):

@@ -207,3 +207,14 @@ def test_flow_value_overflow_is_infinite():
     ws = WeightSystem(1, ((-1,),), (F(0),))
     v = AmbientPoint.numeric([1.0])
     assert flow_value(ws, v, (1,), 400.0) == math.inf
+
+
+def test_flow_value_reads_the_support_relative_to_the_point():
+    # a tiny point on CP^1 still diverges along xi = -1: its coordinates
+    # are nonzero relative to each other, as `support` reads them; an exact
+    # zero stays out of the sum even where its exponent overflows
+    cp1 = WeightSystem(rank=1, weights=((1,), (1,)), theta=(F(1),))
+    opposite = WeightSystem(rank=1, weights=((1,), (-1,)), theta=(F(1),))
+    for scale in (1.0, 1e-8, 1e-13, 1e8):
+        assert flow_value(cp1, AmbientPoint.numeric([scale, scale]), [-1], 60.0) == math.inf
+        assert flow_value(opposite, AmbientPoint.numeric([scale, 0.0]), [1], 400.0) == 1.0
