@@ -15,7 +15,7 @@ bitmasks), `kahler_strata` and the cotangent supports of
 `cotangent_semistable_masks` share it.  `semistable_support` stops at
 the first positive basis.  `quotient_compact` decides compactness by
 Gordan's alternative on the cocircuits of the weights
-(`exactlin.cocircuits`): some xi is positive on every weight iff the
+(`weight_cocircuits`): some xi is positive on every weight iff the
 nonnegative cocircuits cover every index.  None of them solves an LP or
 does `Fraction` arithmetic per candidate.  A verdict with
 certificate costs exactly one LP, the membership LP, whose row multipliers
@@ -402,14 +402,27 @@ def _unstable_covectors(
 
 
 def stabilizer(ws: WeightSystem, S: Iterable[int]) -> StabilizerInfo:
-    """Stabilizer shape of a point with support S, via Smith normal form."""
-    idx = sorted(set(S))
-    rows = [list(ws.weights[i]) for i in idx]
-    factors = smith_invariant_factors(rows) if rows else []
-    return StabilizerInfo(
-        subtorus_rank=ws.rank - len(factors),
-        finite_invariants=tuple(d for d in factors if d > 1),
-    )
+    """Stabilizer shape of a point with support S, via Smith normal form:
+    one per lattice of the rows on S, which weights equal up to sign span
+    alike (w and 2w do not), so the memo keys on their classes."""
+    bits, rows, memo = _lattice_classes(ws)
+    key = 0
+    for i in S:
+        key |= bits[i]
+    if key not in memo:
+        factors = smith_invariant_factors([w for j, w in enumerate(rows) if key >> j & 1])
+        memo[key] = StabilizerInfo(ws.rank - len(factors), tuple(d for d in factors if d > 1))
+    return memo[key]
+
+
+@lru_cache(maxsize=1)
+def _lattice_classes(ws: WeightSystem) -> tuple[list[int], list, dict[int, StabilizerInfo]]:
+    """Each weight's class bit up to sign (0 if zero), a row per class, and
+    the stabilizers by OR of class bits; the memo holds one system."""
+    classes: dict[tuple[int, ...], int] = {}
+    bits = [1 << classes.setdefault(max(w, tuple(-v for v in w)), len(classes)) if any(w) else 0
+            for w in ws.weights]
+    return bits, list(classes), {}
 
 
 @lru_cache(maxsize=1)
@@ -502,10 +515,17 @@ def quotient_compact(ws: WeightSystem) -> bool:
     compact.
     """
     covered = 0
-    for (pos, neg), _ in cocircuits(ws.weights, ws.rank):
+    for pos, neg in weight_cocircuits(ws):
         if not neg:
             covered |= pos
     return covered == (1 << ws.n) - 1
+
+
+@lru_cache(maxsize=1)
+def weight_cocircuits(ws: WeightSystem) -> tuple[tuple[int, int], ...]:
+    """The cocircuits of the weights as sign masks (pos, neg), memoized for
+    one system: `quotient_compact` and `hol_consistent` share them."""
+    return tuple(signs for signs, _ in cocircuits(ws.weights, ws.rank))
 
 
 def kahler_strata(ws: WeightSystem, bound: int = DEFAULT_BOUND) -> list[StratumRecord]:

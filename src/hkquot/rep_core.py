@@ -48,8 +48,9 @@ class WeightSystem:
     def __post_init__(self):
         if self.rank < 1:
             raise ValueError("torus rank must be >= 1")
-        weights = tuple(tuple(int(v) for v in w) for w in self.weights)
-        theta = tuple(Fraction(t) for t in self.theta)
+        # exact ints and Fractions are kept; numpy ints, bools, strings converted
+        weights = tuple(tuple(map(int, w)) for w in self.weights)
+        theta = tuple(t if type(t) is Fraction else Fraction(t) for t in self.theta)
         for w in weights:
             if len(w) != self.rank:
                 raise DimensionMismatchError(f"weight {w} has length != rank {self.rank}")
@@ -57,6 +58,11 @@ class WeightSystem:
             raise DimensionMismatchError("theta length != rank")
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "theta", theta)
+        # the exact layers' memos key on the system: hash it once
+        object.__setattr__(self, "_hash", hash((self.rank, weights, theta)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def n(self) -> int:
@@ -89,7 +95,7 @@ class WeightSystem:
 def weight_system_from_json(data: dict) -> WeightSystem:
     try:
         rank = int(data["rank"])
-        weights = tuple(tuple(int(v) for v in w) for w in data["weights"])
+        weights = data["weights"]
         theta = tuple(parse_rational(t) for t in data["theta"])
     except KeyError as exc:
         raise ValueError(f"weight system JSON missing field {exc}") from None

@@ -4,10 +4,12 @@ A candidate stratum of the hyperkahler quotient of T*V is labeled by a
 support pair (S_x, S_z).  Exact necessary conditions: the doubled support
 must be semistable, and the holomorphic moment map must be able to vanish
 with every coordinate of S_x cap S_z nonzero, which holds iff that
-intersection is a union of supports of kernel vectors of its weight
-columns.  Certification is one-sided: a numerically produced witness
-proves a stratum nonempty; the absence of one after R seeds proves
-nothing, so candidates are never marked refuted by sampling.
+intersection T is a union of circuits of its weight columns, that is iff
+no cocircuit of the weights meets T in one index alone (a coloop of the
+restriction to T; Oxley, Matroid Theory, ch. 3).  Certification is
+one-sided: a numerically produced witness proves a stratum nonempty; the
+absence of one after R seeds proves nothing, so candidates are never
+marked refuted by sampling.
 
 The Hirzebruch-surface suite pins the whole pipeline against the weight
 system {(1,0), (1,0), (0,1), (-n,1)} with theta = (c0/2, c1/2): the
@@ -30,7 +32,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import BoundExceededError, PreconditionError, UndecidedError
-from .exactlin import integer_kernel_basis, kernel_basis
+from .exactlin import kernel_basis
 from .git_stability import (
     STABLE,
     UNSTABLE,
@@ -41,6 +43,7 @@ from .git_stability import (
     semistable_support,
     stabilizer,
     unstable_maximal_supports,
+    weight_cocircuits,
 )
 from .kempf_ness import CONVERGED, solve_hyperkahler
 from .moment_maps import hol_moment
@@ -125,18 +128,14 @@ def _doubled_support(n: int, sx, sz) -> set[int]:
 def hol_consistent(ws: WeightSystem, T) -> bool:
     """Can sum_{i in T} beta^i c_i = 0 hold with every c_i nonzero?
 
-    Equivalent to T being a union of supports of kernel vectors of the
-    weight columns on T (a generic combination is then nonzero on all of
-    T at once).
+    Iff T is a union of circuits of the weight columns, that is, iff their
+    matroid M restricted to T has no coloop.  The cocircuits of M|T are the
+    minimal nonempty sets D cap T, D a cocircuit of M (Oxley, Matroid
+    Theory, ch. 3), so i is a coloop iff some D meets T in {i} alone.  A
+    zero weight is a loop, in no cocircuit, and never a coloop.
     """
-    idx = sorted(T)
-    if not idx:
-        return True
-    rows = [[ws.weights[i][a] for i in idx] for a in range(ws.rank)]
-    covered: set[int] = set()
-    for vec in integer_kernel_basis(rows, len(idx)):
-        covered |= {idx[j] for j, c in enumerate(vec) if c != 0}
-    return covered == set(idx)
+    t = sum(1 << i for i in set(T))
+    return all(((pos | neg) & t).bit_count() != 1 for pos, neg in weight_cocircuits(ws))
 
 
 def hk_candidate_strata(ws: WeightSystem, bound: int = STRATA_BOUND) -> list[HKStratumCandidate]:
@@ -147,8 +146,8 @@ def hk_candidate_strata(ws: WeightSystem, bound: int = STRATA_BOUND) -> list[HKS
     pass (`cotangent_semistable_masks`), x in the low n bits and z in the
     high ones.  The doubled rows on U are the rows of ws on sx | sz, some
     negated or repeated, so they span the same lattice and
-    stabilizer(dws, U) equals stabilizer(ws, sx | sz): one Smith form per
-    ws-support, not per pair.
+    stabilizer(dws, U) equals stabilizer(ws, sx | sz), which takes one
+    Smith form per lattice.
     """
     if ws.n > bound:
         raise BoundExceededError(f"n = {ws.n} exceeds the enumeration bound {bound}")

@@ -136,6 +136,24 @@ def rref_positive_bases(ws: WeightSystem, idx: Sequence[int]) -> Iterator[tuple[
                 yield T
 
 
+def kernel_cover_hol_consistent(ws: WeightSystem, T) -> bool:
+    """Can sum_{i in T} beta^i c_i = 0 hold with every c_i nonzero?
+
+    The kernel vectors of the weight columns on T, one per free column of
+    their rref, cover T iff it can: a generic combination of them is then
+    nonzero on all of T at once.
+    """
+    idx = sorted(T)
+    if not idx:
+        return True
+    red, pivots = fraction_rref([[ws.weights[i][a] for i in idx] for a in range(ws.rank)])
+    covered: set[int] = set()
+    for f in (j for j in range(len(idx)) if j not in pivots):
+        covered.add(idx[f])
+        covered |= {idx[p] for r, p in enumerate(pivots) if red[r][f] != 0}
+    return covered == set(idx)
+
+
 def loop_quotient_smooth(ws: WeightSystem) -> tuple[bool, Optional[frozenset]]:
     """The first semistable support, in lexicographic order, whose
     stabilizer is not trivial, by one Smith form per support in turn.

@@ -65,3 +65,36 @@ def test_analyze_large_systems_match_pinned_digests():
         payload = cmd_analyze(RunConfig(), weights)
         digest = hashlib.sha256(render(payload, "json").encode()).hexdigest()
         assert (len(payload["hk_candidates"]), digest) == LARGE_DIGESTS[size], size
+
+
+#: sha256 of the rendered analyze JSON of Sigma_n (theta = (1/2, 1/2)) and
+#: of three degenerate systems: a zero weight, opposite lines with
+#: theta = 0, and w with 2w (stabilizers of order 2, 3 and 6)
+PINNED_DIGESTS = {
+    "sigma1": "352809482910e30560f2191309cf66f8410e83b4e8bb6541d53d938379cf5514",
+    "sigma2": "c67ff06a82e9ceeb7b857d2e0342f96a6c3f4a43cdcd6c52165c8eaea617d1a4",
+    "sigma3": "c353264e063eacf8ce1431b2259768f476101a5257cf41159969395ab65df833",
+    "sigma5": "f6e7dc925b15fb6ed3144e13209c987e05cb024de9221addfbc11ba6a579fe1f",
+    "sigma8": "f28b76b7bfe25493690ee077093663482e5df210cf42af5f0729b4611aefe0b8",
+    "zero-weight": "0ba4050b7a12e65ff1be86cb8466ce6571491fe2f46aa3cba172a47acafa4bb1",
+    "opposite-theta0": "870ffe5a4cc98f40d79313abe22b2d2717ad9eb19be725f42602239198d3317a",
+    "w-and-2w": "c16173858e0de9928b262a118f41e5b3c8845918f75bb67f9c2d906470920613",
+}
+
+
+def _pinned_systems():
+    for n in (1, 2, 3, 5, 8):
+        yield f"sigma{n}", {"rank": 2, "weights": [[1, 0], [1, 0], [0, 1], [-n, 1]], "theta": ["1/2", "1/2"]}
+    yield "zero-weight", {"rank": 2, "weights": [[1, 0], [0, 0], [0, 1], [-2, 1]], "theta": ["1/2", "1"]}
+    yield "opposite-theta0", {
+        "rank": 2, "weights": [[1, 0], [-1, 0], [0, 1], [0, -1], [1, 1]], "theta": ["0", "0"]
+    }
+    yield "w-and-2w", {"rank": 2, "weights": [[1, 1], [2, 2], [0, 1], [-1, 2]], "theta": ["1/2", "3/2"]}
+
+
+def test_analyze_matches_pinned_digests():
+    got = {
+        name: hashlib.sha256(render(cmd_analyze(RunConfig(), json.dumps(data)), "json").encode()).hexdigest()
+        for name, data in _pinned_systems()
+    }
+    assert got == PINNED_DIGESTS

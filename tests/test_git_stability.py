@@ -39,17 +39,19 @@ from hkquot.git_stability import (
     STABLE,
     STRICTLY_SEMISTABLE,
     UNSTABLE,
+    StabilizerInfo,
     cotangent_semistable_masks,
     strata_smoothness,
 )
 from hkquot.rep_core import weight_system_to_json
-from hkquot.strata_examples import hirzebruch_weight_system
+from hkquot.strata_examples import hirzebruch_weight_system, hol_consistent
 
 import oracles
 from oracles import (
     box_classify_support,
     box_polystable_support,
     dfs_unstable_supports,
+    kernel_cover_hol_consistent,
     lp_quotient_compact,
     loop_quotient_smooth,
     lp_semistable_support,
@@ -645,6 +647,82 @@ def test_doubled_stabilizer_lattice_identity(ws, data):
         assert stabilizer(dws, U) == stabilizer(ws, sx | sz), (ws, sorted(U))
 
 
+@settings(max_examples=200, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.one_of(small_systems(nmax=7), st.sampled_from(DEGENERATE)))
+def test_hol_consistency_matches_kernel_cover_oracle(ws):
+    # no cocircuit of the weights meets T in one index iff the kernel of the
+    # weight columns on T covers T: on every T, with zero weights, opposite
+    # lines, repeated w and 2w and rank-deficient systems among the draws
+    for m in range(1 << ws.n):
+        T = {i for i in range(ws.n) if m >> i & 1}
+        assert hol_consistent(ws, T) == kernel_cover_hol_consistent(ws, T), (ws, sorted(T))
+
+
+def weight_classes(ws: WeightSystem, S) -> frozenset:
+    """The nonzero weights on S, each up to sign."""
+    return frozenset(max(w, tuple(-v for v in w)) for w in (ws.weights[i] for i in S) if any(w))
+
+
+def test_stabilizer_memo_keeps_w_and_2w_apart():
+    # one Smith form per set of weights up to sign: on every subset of
+    # systems holding w and 2w (and often -w and a zero weight) it gives
+    # the stabilizer of a fresh Smith form, where a key on lines would not
+    rng = np.random.default_rng(41)
+    merged_by_lines = 0
+    for _ in range(40):
+        k = int(rng.integers(1, 4))
+        w = tuple(int(v) for v in rng.integers(-3, 4, size=k))
+        w = w if any(w) else (1,) + w[1:]
+        weights = [w, tuple(2 * v for v in w)]
+        weights += [tuple(int(v) for v in rng.integers(-3, 4, size=k)) for _ in range(rng.integers(1, 4))]
+        if rng.integers(2):
+            weights.append(tuple(-v for v in w))
+        if rng.integers(2):
+            weights.append((0,) * k)
+        order = rng.permutation(len(weights))
+        ws = WeightSystem(k, tuple(weights[i] for i in order), (F(1, 2),) * k)
+        git_stability._lattice_classes.cache_clear()
+        by_lines: dict[frozenset, set] = {}
+        for m in range(1 << ws.n):
+            S = [i for i in range(ws.n) if m >> i & 1]
+            factors = exactlin.smith_invariant_factors([ws.weights[i] for i in S])
+            want = StabilizerInfo(k - len(factors), tuple(d for d in factors if d > 1))
+            assert stabilizer(ws, S) == want, (ws, S)
+            lines = frozenset(tuple(exactlin.integer_primitive(w)) for w in weight_classes(ws, S))
+            by_lines.setdefault(lines, set()).add(want)
+        merged_by_lines += sum(len(infos) > 1 for infos in by_lines.values())
+    assert merged_by_lines
+    git_stability._lattice_classes.cache_clear()
+
+
+def test_analyze_takes_one_smith_form_per_lattice_class(monkeypatch, hirzebruch1):
+    # one cmd_analyze: a Smith form per distinct set of weight classes over
+    # the Kahler supports and the candidates' sx | sz, and one cocircuit
+    # pass of the weights, shared by compactness and hol-consistency
+    rng = np.random.default_rng(43)
+    systems = [hirzebruch1, hirzebruch_weight_system(3)] + list(DEGENERATE)
+    systems += [random_weight_system(rng, nmax=5) for _ in range(8)]
+    smiths, circuits = [], []
+    monkeypatch.setattr(
+        git_stability, "smith_invariant_factors",
+        counting_calls(smiths, exactlin.smith_invariant_factors),
+    )
+    monkeypatch.setattr(git_stability, "cocircuits", counting_calls(circuits, exactlin.cocircuits))
+    for ws in systems:
+        git_stability._lattice_classes.cache_clear()
+        git_stability.weight_cocircuits.cache_clear()
+        smiths.clear()
+        circuits.clear()
+        out = cmd_analyze(RunConfig(), analyze_json(ws))
+        supports = [S for rec in out["kahler_strata"] for S in rec["supports"]]
+        supports += [c["support_x"] + c["support_z"] for c in out["hk_candidates"]]
+        assert len(smiths) == len({weight_classes(ws, S) for S in supports}), ws
+        assert [args[0] for args in circuits].count(ws.weights) == 1
+    git_stability._lattice_classes.cache_clear()
+    git_stability.weight_cocircuits.cache_clear()
+
+
 @settings(max_examples=300, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(st.one_of(small_systems(nmax=6), st.sampled_from(DEGENERATE)))
@@ -697,11 +775,12 @@ def test_analyze_semistable_budget(monkeypatch, hirzebruch1):
         assert len(circuits) == (1 if any(ws.theta) else 0)
         git_stability._unstable_covectors.cache_clear()
         git_stability._basis_masks.cache_clear()
+        git_stability.weight_cocircuits.cache_clear()
         circuits.clear()
         stabs.clear()
         cmd_analyze(RunConfig(), analyze_json(ws))
-        # cmd_analyze adds exactly one pass, for compactness; the semistable
-        # paths take none
+        # cmd_analyze adds exactly one pass, of the weights, shared by
+        # compactness and hol-consistency; the semistable paths take none
         assert len(circuits) == (1 if any(ws.theta) else 0) + 1
         # one signed-basis pass serves ws and the cotangent system
         assert git_stability._basis_masks.cache_info().misses == 1
@@ -709,6 +788,7 @@ def test_analyze_semistable_budget(monkeypatch, hirzebruch1):
         supports = [frozenset(args[1]) for args in stabs]
         assert sorted(supports, key=sorted) == semistable_supports(ws)
         # quotient_compact is one cocircuit pass and no signed bases
+        git_stability.weight_cocircuits.cache_clear()
         circuits.clear()
         signs.clear()
         quotient_compact(ws)
@@ -719,9 +799,15 @@ def test_analyze_semistable_budget(monkeypatch, hirzebruch1):
         semistable_supports(ws)
         kahler_strata(ws)
         quotient_smooth(ws)
-        hk_candidate_strata(ws)
     assert circuits == []
+    for ws in systems[:3]:
+        # the candidates' hol-consistency reads one pass of the weights
+        git_stability.weight_cocircuits.cache_clear()
+        circuits.clear()
+        hk_candidate_strata(ws)
+        assert [args[0] for args in circuits] == [ws.weights]
     git_stability._basis_masks.cache_clear()
+    git_stability.weight_cocircuits.cache_clear()
 
 
 def test_signed_basis_memo_holds_one_system(hirzebruch1):

@@ -47,6 +47,31 @@ def test_weight_system_validation():
     assert ws.n == 0
 
 
+def test_weight_system_converts_each_input_type():
+    # exact ints and Fractions are kept; numpy ints, bools and strings are
+    # converted, once, to the same system
+    want = WeightSystem(2, ((1, 0), (-2, 1)), (Fraction(1, 2), Fraction(3)))
+    cases = [
+        WeightSystem(2, np.array([[1, 0], [-2, 1]]), (Fraction(1, 2), np.int64(3))),
+        WeightSystem(2, ((np.int32(1), np.int8(0)), (-2, np.int64(1))), (Fraction(1, 2), 3)),
+        WeightSystem(2, ((True, False), (-2, True)), (Fraction(1, 2), 3)),
+        WeightSystem(2, (("1", "0"), ("-2", " 1")), ("1/2", "3")),
+        weight_system_from_json({"rank": 2, "weights": [[1, 0], [-2, 1]], "theta": ["1/2", 3]}),
+    ]
+    for ws in cases:
+        assert ws == want and hash(ws) == hash(want)
+        assert all(type(v) is int for w in ws.weights for v in w)
+        assert all(type(t) is Fraction for t in ws.theta)
+    assert WeightSystem(1, ((True,),), (True,)) == WeightSystem(1, ((1,),), (Fraction(1),))
+    theta = want.theta
+    assert all(a is b for a, b in zip(WeightSystem(2, want.weights, theta).theta, theta))
+    assert doubled_weights(want).theta == theta
+    with pytest.raises(ValueError):
+        WeightSystem(2, (("1", "x"),), (0, 0))
+    with pytest.raises(DimensionMismatchError):
+        WeightSystem(2, np.array([[1, 0, 0]]), (0, 0))
+
+
 def test_weight_system_pairings(hirzebruch1):
     ws = hirzebruch1
     assert ws.n == 4 and ws.rank == 2

@@ -131,6 +131,7 @@ def test_stabilizer_computed_once_per_ws_support(monkeypatch):
             assert c.stabilizer == want[U]
             seen_finite |= bool(c.stabilizer.finite_invariants)
     assert seen_finite
+    git_stability._lattice_classes.cache_clear()
 
 
 def test_candidates_single_weight():
