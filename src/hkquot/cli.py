@@ -23,7 +23,10 @@ import numpy as np
 
 from .errors import BoundExceededError, PreconditionError, UndecidedError
 from .git_stability import (
+    DEFAULT_BOUND,
+    check_bound,
     classify_point,
+    cotangent_unstable_supports,
     kahler_strata,
     quotient_compact,
     strata_smoothness,
@@ -66,7 +69,7 @@ EXIT_UNDECIDED = 4
 class RunConfig:
     mode: str = "exact"
     tol: float = 1e-10
-    bound: Optional[int] = None
+    bound: int = DEFAULT_BOUND
     seed: int = 0
     fmt: str = "json"
     trace: bool = False
@@ -149,16 +152,18 @@ def _load_point(arg: str, mode: str):
 
 def cmd_analyze(cfg: RunConfig, weights: str) -> dict:
     ws = _load_weights(weights)
-    kwargs = {} if cfg.bound is None else {"bound": cfg.bound}
-    strata = kahler_strata(ws, **kwargs)
+    # the base's n and then the cotangent system's 2n, before any enumeration
+    check_bound(ws.n, cfg.bound)
+    check_bound(2 * ws.n, cfg.bound)
+    strata = kahler_strata(ws, cfg.bound)
     smooth, offending = strata_smoothness(strata)
     return {
         "schema": 1,
         "command": "analyze",
         "weight_system": weight_system_to_json(ws),
-        "unstable_maximal_supports": [sorted(s) for s in unstable_maximal_supports(ws, **kwargs)],
+        "unstable_maximal_supports": [sorted(s) for s in unstable_maximal_supports(ws, cfg.bound)],
         "unstable_maximal_supports_cotangent": [
-            sorted(s) for s in unstable_maximal_supports(doubled_weights(ws), **kwargs)
+            sorted(s) for s in cotangent_unstable_supports(ws, cfg.bound)
         ],
         "compact": quotient_compact(ws),
         "smooth": {
@@ -166,7 +171,7 @@ def cmd_analyze(cfg: RunConfig, weights: str) -> dict:
             "offending_support": None if offending is None else sorted(offending),
         },
         "kahler_strata": [s.to_json() for s in strata],
-        "hk_candidates": [c.to_json() for c in hk_candidate_strata(ws, **kwargs)],
+        "hk_candidates": [c.to_json() for c in hk_candidate_strata(ws, cfg.bound)],
     }
 
 
@@ -420,7 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--mode", choices=("exact", "numeric"), default="exact")
     parser.add_argument("--tol", type=float, default=1e-10)
-    parser.add_argument("--bound", type=int, default=None)
+    parser.add_argument("--bound", type=int, default=DEFAULT_BOUND)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--format", choices=("json", "table", "csv"), default="json")
     parser.add_argument("--trace", action="store_true")

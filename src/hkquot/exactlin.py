@@ -1,12 +1,12 @@
-"""Exact rational linear algebra: simplex LP, kernels, cocircuits,
-coefficient signs of integer systems, Smith normal form.
+"""Exact rational linear algebra: simplex LP, kernels, cocircuits, Smith
+normal form.
 
 Nothing here uses floating point, so the stability certificates and
 stabilizer invariants built on top are exact.  One fraction-free
 Gauss-Jordan elimination over the integers (`_eliminate`) is behind
-`matrix_rank`, `integer_kernel_basis` (and its rational view
-`kernel_basis`) and `solution_signs`; a rational row is first scaled by
-the lcm of its denominators (`_integer_row`).  `cocircuits` reads the
+`matrix_rank` and `integer_kernel_basis` (and its rational view
+`kernel_basis`); a rational row is first scaled by the lcm of its
+denominators (`_integer_row`).  `cocircuits` reads the
 cocircuits of an integer vector configuration off one-dimensional integer
 kernels, as bitmask pairs, so `Fraction` appears only in the results
 `kernel_basis` hands back and in the simplex tableau, and the Smith form
@@ -17,9 +17,10 @@ simplex has not been tuned.  It returns its row multipliers too: an
 optimal dual solution, or a Farkas certificate when the LP is infeasible.
 Only the stability classifier in `git_stability` still solves LPs, one
 per verdict, and reads its certificates off those multipliers.  The
-users of `cocircuits` solve none: the unstable-locus enumeration composes
-the cocircuits, and the compactness predicate asks whether the
-nonnegative ones cover every weight (Gordan's alternative).
+users of `cocircuits` solve none: the enumeration of both loci composes
+the cocircuits, a single support is semistable iff no cocircuit is
+negative on theta alone (Farkas), and the compactness predicate asks
+whether the nonnegative ones cover every weight (Gordan's alternative).
 """
 
 from __future__ import annotations
@@ -226,23 +227,6 @@ def _eliminate(rows: Sequence[Sequence]) -> tuple[list[list[int]], list[int], in
         prev = piv
         pivots.append(col)
     return mat, pivots, prev
-
-
-def solution_signs(cols: Sequence[Sequence[int]], b: Sequence[int]) -> Optional[tuple[int, ...]]:
-    """Signs of the coefficients c with sum_j c_j cols[j] = b, or None.
-
-    None unless the integer columns are linearly independent and the
-    integer vector b lies in their span (then c is unique), that is unless
-    the pivots of [cols | b] are exactly its first len(cols) columns.
-    Pivot row j of the eliminated matrix then holds D c_j in its last
-    entry (Cramer's rule), so sign(c_j) is read off without leaving the
-    integers.
-    """
-    r = len(cols)
-    mat, pivots, d = _eliminate([[col[a] for col in cols] + [b[a]] for a in range(len(b))])
-    if pivots != list(range(r)):
-        return None
-    return tuple((v > 0) - (v < 0) for v in (d * row[r] for row in mat[:r]))
 
 
 def matrix_rank(rows: Sequence[Sequence]) -> int:

@@ -2,24 +2,9 @@
 
 Everything is decided by exact linear algebra on the combinatorial data
 (weights, character, coordinate supports), and by rational linear
-programming in the classifier only.  Whether a support S is semistable,
-theta in Cone{beta^i : i in S}, is pure linear algebra: by Caratheodory
-it holds iff S contains a positive basis, a set T of at most k independent
-weights with theta a strictly positive combination of beta_T.  One
-fraction-free integer elimination per candidate T (`solution_signs`)
-gives the sign of every coefficient; the all-positive T are the positive
-bases, and the same signed T, read with their signs, are the positive
-bases of the cotangent system (beta, -beta).  That pass is memoized for
-one system, so `semistable_supports` (the up-closure of the bases, on
-bitmasks), `kahler_strata` and the cotangent supports of
-`cotangent_semistable_masks` share it.  `semistable_support` stops at
-the first positive basis.  `quotient_compact` decides compactness by
-Gordan's alternative on the cocircuits of the weights
-(`weight_cocircuits`): some xi is positive on every weight iff the
-nonnegative cocircuits cover every index.  None of them solves an LP or
-does `Fraction` arithmetic per candidate.  A verdict with
-certificate costs exactly one LP, the membership LP, whose row multipliers
-carry the certificate (LP duality; Farkas 1902):
+programming in the classifier only.  A verdict with certificate costs
+exactly one LP, the membership LP, whose row multipliers carry the
+certificate (LP duality; Farkas 1902):
 
 * a point v is semistable iff theta lies in Cone{beta^i : i in S},
   S = supp(v) (Farkas dual of the Hilbert-Mumford inequality); the
@@ -40,20 +25,18 @@ carry the certificate (LP duality; Farkas 1902):
 * certificates and witnesses are primitive integral cocharacters, so they
   can be re-checked by exact mu-weight evaluation.
 
-Unstable-locus enumeration lists the sign cells of the hyperplane
-arrangement {beta^i(xi) = 0} inside the open half-space <theta, xi> < 0;
-each cell contributes the support S(xi) it destabilizes.  The cells are
-the covectors of the configuration (the distinct lines R beta^i, theta)
-that are negative on theta, and every covector is a composition of
+The loci are enumerated from one table of sign cells per system
+(`_cells`), with no LP: the sign vectors of the arrangement {beta^i(xi) =
+0} inside {<theta, xi> < 0}, which are the theta-negative covectors of
+(the distinct lines R beta^i, theta).  Every covector is a composition of
 cocircuits (Bjorner, Las Vergnas, Sturmfels, White and Ziegler, Oriented
-Matroids, 1993).  So the enumeration takes the cocircuits once
-(`exactlin.cocircuits`, one integer kernel per hyperplane) and closes the
-theta-negative ones under composition, on bitmask pairs: it solves no LP
-and does no `Fraction` arithmetic, and each cell it reports comes with a
-primitive integral witness that can be re-checked exactly.  The closure
-depends only on the lines and theta, which the cotangent system
-`doubled_weights(ws)` shares with ws, so the two share one memoized
-closure.
+Matroids, 1993), so the table takes the cocircuits once
+(`exactlin.cocircuits`) and closes the theta-negative ones under
+composition, on bitmask pairs, each cell with an integral witness.  The
+cotangent system has the same lines and theta, so the same cells, and
+the semistable supports are the complement of the unstable ones.  One
+support alone is decided by Farkas on the cocircuits of (beta_S, theta),
+and compactness by Gordan's alternative on those of the weights.
 """
 
 from __future__ import annotations
@@ -61,8 +44,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
-from math import inf, lcm
+from itertools import compress
+from math import inf
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import BoundExceededError, DimensionMismatchError
@@ -72,7 +55,6 @@ from .exactlin import (
     integer_primitive,
     lp_maximize,
     smith_invariant_factors,
-    solution_signs,
 )
 from .rep_core import AmbientPoint, Cocharacter, WeightSystem, support
 
@@ -176,31 +158,22 @@ def mu_weight(ws: WeightSystem, v: AmbientPoint, xi) -> Fraction | float:
     return Fraction(ws.theta_pairing(exact_xi))
 
 
-def _signed_bases(
-    ws: WeightSystem, idx: Sequence[int]
-) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """(T, sign c) for each T within idx, |T| <= k, with beta_T linearly
-    independent and theta = sum_{i in T} c_i beta^i with every c_i != 0;
-    T = () when theta = 0.
-
-    T is a positive basis when every c_i > 0.  By Caratheodory, theta lies
-    in Cone{beta^i : i in S} iff S contains a positive basis.  The signs
-    come from one fraction-free integer elimination of [beta_T | theta]
-    (`solution_signs`), with theta scaled once by the lcm of its
-    denominators.
-    """
-    den = lcm(*(t.denominator for t in ws.theta))
-    theta = [int(t * den) for t in ws.theta]
-    for r in range(min(ws.rank, len(idx)) + 1):
-        for T in combinations(idx, r):
-            signs = solution_signs([ws.weights[i] for i in T], theta)
-            if signs is not None and all(signs):
-                yield T, signs
-
-
 def semistable_support(ws: WeightSystem, S: Iterable[int]) -> bool:
-    """True iff theta lies in Cone{beta^i : i in S}: S holds a positive basis."""
-    return any(min(signs, default=1) > 0 for _, signs in _signed_bases(ws, sorted(set(S))))
+    """True iff theta lies in Cone{beta^i : i in S}.
+
+    By Farkas, S is unstable iff some xi has beta^i(xi) >= 0 on S and
+    <theta, xi> < 0, a covector of (beta_S, theta) negative on theta alone.
+    It is the composition of the cocircuits conformal to it, one of which
+    is negative on theta, so S is semistable iff no cocircuit of (beta_S,
+    theta) is negative on theta and nowhere else.  theta = 0 is in every
+    cone.  The cost depends on |S|, not on the whole arrangement.
+    """
+    if not any(ws.theta):
+        return True
+    vecs = [ws.weights[i] for i in sorted(set(S))]
+    t = 1 << len(vecs)
+    vecs.append(integer_primitive(ws.theta))
+    return all(neg != t for (_, neg), _ in cocircuits(vecs, ws.rank))
 
 
 def polystable_support(ws: WeightSystem, S: Iterable[int]) -> bool:
@@ -304,30 +277,73 @@ def inclusion_maximal(sets: Iterable[frozenset]) -> list[frozenset]:
     return sorted(out, key=sorted)
 
 
+def check_bound(n: int, bound: int) -> None:
+    """Refuse to enumerate the supports of n coordinates when n > bound."""
+    if n > bound:
+        raise BoundExceededError(f"n={n} exceeds enumeration bound {bound}")
+
+
+def _as_supports(masks: Iterable[int], n: int) -> list[frozenset]:
+    """n-bit masks as index sets, sorted lexicographically."""
+    return sorted((frozenset(i for i in range(n) if m >> i & 1) for m in masks), key=sorted)
+
+
+def _destabilized(masks: Iterable[int], n: int) -> list[frozenset]:
+    # the empty support is reported only when it is the only one
+    found = set(masks)
+    return _as_supports([m for m in found if m] or found, n)
+
+
 def unstable_maximal_supports(
     ws: WeightSystem, bound: int = DEFAULT_BOUND
 ) -> list[frozenset]:
-    """Destabilized supports S(xi), one per destabilizing sign cell.
+    """Destabilized supports S(xi) = {i : beta^i(xi) >= 0}, one per
+    destabilizing sign cell xi: the >= 0 masks of `_cells`.
 
-    Enumerates the sign vectors of the arrangement {beta^i(xi) = 0} that
-    are realized inside {<theta, xi> < 0} and collects, for each, the set
-    S(xi) = {i : beta^i(xi) >= 0}.  Every point whose support lies inside
-    some S(xi) is unstable, and every unstable point's support is inside
-    one of them.  The family need not be inclusion-maximal: for the
-    Sigma_1 system it is [{0, 1}, {2, 3}, {3}] with {3} inside {2, 3};
-    `inclusion_maximal` filters it to the maximal sets.  The empty set is
-    reported only when it is the only destabilized support (then only the
-    origin is unstable).  Output is sorted lexicographically.
+    Every point whose support lies inside some S(xi) is unstable, and
+    every unstable point's support is inside one of them.  The family
+    need not be inclusion-maximal: for the Sigma_1 system it is [{0, 1},
+    {2, 3}, {3}] with {3} inside {2, 3}; `inclusion_maximal` filters it to
+    the maximal sets.  The empty set is reported only when it is the only
+    destabilized support (then only the origin is unstable).  Output is
+    sorted lexicographically.
+    """
+    check_bound(ws.n, bound)
+    return _destabilized((nonneg for nonneg, _ in _cells(ws)), ws.n)
+
+
+def cotangent_unstable_supports(
+    ws: WeightSystem, bound: int = DEFAULT_BOUND
+) -> list[frozenset]:
+    """`unstable_maximal_supports(doubled_weights(ws))`, read off ws's cells.
+
+    The doubled weights (beta, -beta) have the lines and theta of ws, so
+    the same cells, and the fiber coordinate n + i has -beta^i(xi) >= 0
+    iff i is outside the cell's > 0 mask.
+    """
+    check_bound(2 * ws.n, bound)
+    return _destabilized(_cotangent_cells(ws), 2 * ws.n)
+
+
+def _cotangent_cells(ws: WeightSystem) -> Iterator[int]:
+    """The doubled supports S(xi) of ws's cells as 2n-bit masks: the >= 0
+    mask, and the <= 0 mask shifted by n."""
+    full = (1 << ws.n) - 1
+    return (nonneg | (full & ~pos) << ws.n for nonneg, pos in _cells(ws))
+
+
+@lru_cache(maxsize=1)
+def _cells(ws: WeightSystem) -> tuple[tuple[int, int], ...]:
+    """The cell table: one pair of index masks ({i : beta^i(xi) >= 0},
+    {i : beta^i(xi) > 0}) per sign cell xi of the arrangement inside
+    {<theta, xi> < 0}.
 
     The cells are the theta-negative covectors of the distinct lines R
-    beta^i and theta (`_unstable_covectors`), each with an exact witness;
-    no LP is solved.  `doubled_weights(ws)` adds only the opposite
-    weights, so the cotangent system has the same lines and theta: asked
-    right after the base system, it reuses the same covectors and
-    computes nothing.
+    beta^i and theta (`_unstable_covectors`); each coordinate sits on the
+    + or - side of its line, and a zero weight is >= 0 and not > 0 in
+    every cell.  The table decides both loci of ws and of its cotangent
+    system.  The memo holds one system.
     """
-    if ws.n > bound:
-        raise BoundExceededError(f"n={ws.n} exceeds enumeration bound {bound}")
     # Group coordinates by the line R beta^i, a canonical primitive
     # direction, into the masks of the indices on its + and - side.
     lines: dict[tuple[int, ...], list[int]] = {}
@@ -342,22 +358,20 @@ def unstable_maximal_supports(
     sides = [lines[q] for q in dirs]
 
     full = (1 << ws.n) - 1
-    found: set[int] = set()
+    cells = []
     for pos, neg, _ in _unstable_covectors(dirs, ws.theta):
-        # i leaves S(xi) iff beta^i(xi) < 0: i on the - side of a line
-        # with q . xi > 0, or on the + side of one with q . xi < 0
-        out = 0
+        # i is > 0 on the + side of a line with q . xi > 0 or the - side of
+        # one with q . xi < 0, and < 0 on the other side of either
+        up = down = 0
         for j, (plus, minus) in enumerate(sides):
             if pos >> j & 1:
-                out |= minus
+                up, down = up | plus, down | minus
             elif neg >> j & 1:
-                out |= plus
-        found.add(full & ~out)
-    masks = [m for m in found if m] or found
-    return sorted((frozenset(i for i in range(ws.n) if m >> i & 1) for m in masks), key=sorted)
+                up, down = up | minus, down | plus
+        cells.append((full & ~down, up))
+    return tuple(cells)
 
 
-@lru_cache(maxsize=1)
 def _unstable_covectors(
     dirs: tuple[tuple[int, ...], ...], theta: tuple[Fraction, ...]
 ) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
@@ -378,8 +392,7 @@ def _unstable_covectors(
     x the witness of X and y that of Y, z = M x + y with M = 1 + max |v .
     y| over the vectors v has the signs of X where v . x != 0 and those
     of Y elsewhere: the witness of X o Y, made primitive.  theta = 0
-    realizes nothing.  The memo holds one configuration, so nothing is
-    kept from one weight system to the next.
+    realizes nothing.
     """
     if not any(theta):
         return ()
@@ -425,64 +438,40 @@ def _lattice_classes(ws: WeightSystem) -> tuple[list[int], list, dict[int, Stabi
     return bits, list(classes), {}
 
 
-@lru_cache(maxsize=1)
-def _basis_masks(ws: WeightSystem) -> tuple[tuple[int, int], ...]:
-    """The signed bases of ws (see `_signed_bases`) as bitmask pairs
-    ({i : c_i > 0}, {i : c_i < 0}).
+def _semistable_masks(unstable: Iterable[int], nbits: int) -> set[int]:
+    """Every nbits-bit mask inside none of the masks `unstable`.
 
-    This one pass serves ws and its cotangent system alike.  The memo
-    holds one system, so `analyze` enumerates once, and nothing is kept
-    from one weight system to the next.
+    By Hilbert-Mumford the unstable supports are the subsets of the cells'
+    supports S(xi), so the semistable ones are the complement of their
+    down-closure.  One byte per mask marks it semistable; each S(xi),
+    largest first, clears its submasks, and one inside a mask already
+    cleared is skipped, its submasks being cleared too.
     """
-    out = []
-    for T, signs in _signed_bases(ws, range(ws.n)):
-        pos = neg = 0
-        for i, sgn in zip(T, signs):
-            if sgn > 0:
-                pos |= 1 << i
-            else:
-                neg |= 1 << i
-        out.append((pos, neg))
-    return tuple(out)
-
-
-def _up_closure(bases: Iterable[int], n: int) -> set[int]:
-    """Every n-bit mask that contains one of the masks `bases`."""
-    full = (1 << n) - 1
-    masks: set[int] = set()
-    for base in bases:
-        rest = sub = full & ~base
-        while True:  # every submask of rest, rest itself down to 0
-            masks.add(base | sub)
-            if not sub:
-                break
-            sub = (sub - 1) & rest
-    return masks
+    keep = bytearray(b"\1") * (1 << nbits)
+    for top in sorted(set(unstable), key=int.bit_count, reverse=True):
+        if keep[top]:
+            sub = top
+            while True:  # every submask of top, top itself down to 0
+                keep[sub] = 0
+                if not sub:
+                    break
+                sub = (sub - 1) & top
+    return set(compress(range(1 << nbits), keep))
 
 
 def semistable_supports(ws: WeightSystem, bound: int = DEFAULT_BOUND) -> list[frozenset]:
-    """All semistable supports: the up-closure of the positive bases.
-
-    Semistability is up-closed in the support, and S is semistable iff it
-    contains a positive basis (see `_signed_bases`).  Output is sorted
-    lexicographically.
-    """
-    if ws.n > bound:
-        raise BoundExceededError(f"n={ws.n} exceeds enumeration bound {bound}")
-    masks = _up_closure((pos for pos, neg in _basis_masks(ws) if not neg), ws.n)
-    return sorted((frozenset(i for i in range(ws.n) if m >> i & 1) for m in masks), key=sorted)
+    """All semistable supports: those inside no destabilized support
+    (`_semistable_masks` on the cell table).  Output is sorted
+    lexicographically."""
+    check_bound(ws.n, bound)
+    return _as_supports(_semistable_masks((nonneg for nonneg, _ in _cells(ws)), ws.n), ws.n)
 
 
 def cotangent_semistable_masks(ws: WeightSystem) -> set[int]:
     """The semistable supports of `doubled_weights(ws)` as 2n-bit masks,
-    bit n + i standing for the fiber coordinate z_i.
-
-    The doubled weights are (beta, -beta) with the same theta.  A positive
-    basis of them never holds both i and n + i, whose weights are
-    opposite, so it is a signed basis of ws with i taken for c_i > 0 and
-    n + i for c_i < 0; theta = 0 gives the empty basis for both.
-    """
-    return _up_closure((pos | neg << ws.n for pos, neg in _basis_masks(ws)), 2 * ws.n)
+    bit n + i standing for the fiber coordinate z_i: those inside none of
+    the doubled supports of ws's cells."""
+    return _semistable_masks(_cotangent_cells(ws), 2 * ws.n)
 
 
 def quotient_smooth(
@@ -529,25 +518,16 @@ def weight_cocircuits(ws: WeightSystem) -> tuple[tuple[int, int], ...]:
 
 
 def kahler_strata(ws: WeightSystem, bound: int = DEFAULT_BOUND) -> list[StratumRecord]:
-    """Semistable supports grouped by stabilizer signature.
+    """Semistable supports grouped by stabilizer, each group in the
+    lexicographic order of `semistable_supports`.
 
     The trivial-stabilizer group (when present) is the open stratum and
     sorts first; remaining groups follow by signature.
     """
-    groups: dict[tuple, list[frozenset]] = {}
-    infos: dict[tuple, StabilizerInfo] = {}
+    groups: dict[StabilizerInfo, list[frozenset]] = {}
     for S in semistable_supports(ws, bound):
-        info = stabilizer(ws, S)
-        groups.setdefault(info.signature, []).append(S)
-        infos[info.signature] = info
-    records = []
-    for sig in sorted(groups, key=lambda s: (s[0] != 0 or bool(s[1]), s)):
-        info = infos[sig]
-        records.append(
-            StratumRecord(
-                stabilizer=info,
-                supports=tuple(sorted(groups[sig], key=sorted)),
-                is_open=info.is_trivial,
-            )
-        )
-    return records
+        groups.setdefault(stabilizer(ws, S), []).append(S)
+    return [
+        StratumRecord(stabilizer=info, supports=tuple(groups[info]), is_open=info.is_trivial)
+        for info in sorted(groups, key=lambda info: (not info.is_trivial, info.signature))
+    ]

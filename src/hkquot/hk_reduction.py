@@ -175,12 +175,6 @@ def reduced_form(frame: ReducedFrame, op: str, u: np.ndarray, v: np.ndarray) -> 
     return float(apply_quaternion(op, u) @ v)
 
 
-def reduced_operator(frame: ReducedFrame, op: str) -> np.ndarray:
-    """Matrix of apply-then-project A in the horizontal basis."""
-    H = frame.horizontal
-    return H @ apply_quaternion(op, H).T
-
-
 def _images(H: np.ndarray) -> list[np.ndarray]:
     """I H, J H and K H, row by row."""
     return [apply_quaternion(op, H) for op in OPS]

@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from numbers import Integral
 from typing import Iterable, Sequence, Union
 
 import numpy as np
@@ -48,9 +49,13 @@ class WeightSystem:
     def __post_init__(self):
         if self.rank < 1:
             raise ValueError("torus rank must be >= 1")
-        # exact ints and Fractions are kept; numpy ints, bools, strings converted
+        # exact ints and Fractions are kept; numpy ints, bools, strings
+        # converted, integers through int(): Fraction keeps a numpy numerator
         weights = tuple(tuple(map(int, w)) for w in self.weights)
-        theta = tuple(t if type(t) is Fraction else Fraction(t) for t in self.theta)
+        theta = tuple(
+            t if type(t) is Fraction else Fraction(int(t) if isinstance(t, Integral) else t)
+            for t in self.theta
+        )
         for w in weights:
             if len(w) != self.rank:
                 raise DimensionMismatchError(f"weight {w} has length != rank {self.rank}")

@@ -31,12 +31,13 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import BoundExceededError, PreconditionError, UndecidedError
+from .errors import PreconditionError, UndecidedError
 from .exactlin import kernel_basis
 from .git_stability import (
     STABLE,
     UNSTABLE,
     StabilizerInfo,
+    check_bound,
     classify_point,
     cotangent_semistable_masks,
     mu_weight,
@@ -142,15 +143,14 @@ def hk_candidate_strata(ws: WeightSystem, bound: int = STRATA_BOUND) -> list[HKS
     """Support pairs passing the exact necessary conditions, grouped by
     stabilizer signature (trivial stabilizer first).
 
-    The doubled supports come as bitmasks from ws's own positive-basis
-    pass (`cotangent_semistable_masks`), x in the low n bits and z in the
+    The doubled supports come as bitmasks from ws's own cell table
+    (`cotangent_semistable_masks`), x in the low n bits and z in the
     high ones.  The doubled rows on U are the rows of ws on sx | sz, some
     negated or repeated, so they span the same lattice and
     stabilizer(dws, U) equals stabilizer(ws, sx | sz), which takes one
     Smith form per lattice.
     """
-    if ws.n > bound:
-        raise BoundExceededError(f"n = {ws.n} exceeds the enumeration bound {bound}")
+    check_bound(ws.n, bound)
     n = ws.n
     full = (1 << n) - 1
     members: dict[int, tuple[int, ...]] = {}

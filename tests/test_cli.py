@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 jsonschema = pytest.importorskip("jsonschema")
 
-from hkquot import WeightSystem
+from hkquot import WeightSystem, exactlin, git_stability
 from hkquot.cli import RunConfig, _numeric_scalar, cmd_analyze, main, render
 from hkquot.rep_core import weight_system_to_json
 from hkquot.scalars import parse_rational
@@ -260,6 +260,24 @@ def test_analyze_bound_errors(capsys):
     assert code == 2 and "n=0 exceeds enumeration bound -1" in err
 
 
+def test_analyze_checks_the_bound_before_any_enumeration(capsys, monkeypatch):
+    # CP^10 passes the base bound (n = 11) and fails the cotangent one
+    # (2n = 22) before the base enumerations take a cocircuit pass
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return exactlin.cocircuits(*args)
+
+    monkeypatch.setattr(git_stability, "cocircuits", counting)
+    git_stability._cells.cache_clear()
+    cp10 = json.dumps({"rank": 1, "weights": [[1]] * 11, "theta": ["1"]})
+    code, out, err = run(capsys, "analyze", cp10)
+    assert (code, out) == (2, "")
+    assert err == "precondition error: n=22 exceeds enumeration bound 20\n"
+    assert calls == []
+
+
 def test_output_is_byte_deterministic(capsys):
     # the metric report's frame basis comes from LAPACK, so pin it as well
     point = json.dumps({"x": [0, 0, 1, 0], "z": [[0.7, 0.2], [0.3, -0.5], 0, 1]})
@@ -275,8 +293,9 @@ def test_output_is_byte_deterministic(capsys):
             assert code == 0
             runs.append(out)
         assert runs[0] == runs[1]
-    # the `_unstable_covectors` memo holds one arrangement: a different
-    # system in between must not change the first system's output
+    # the one-system memos (the cell table, the closure, the weight
+    # cocircuits) must not let a different system in between change the
+    # first system's output
     hirzebruch2 = json.dumps(
         {"rank": 2, "weights": [[1, 0], [1, 0], [0, 1], [-2, 1]], "theta": ["1/2", "1/2"]}
     )

@@ -41,6 +41,7 @@ from hkquot.git_stability import (
     UNSTABLE,
     StabilizerInfo,
     cotangent_semistable_masks,
+    cotangent_unstable_supports,
     strata_smoothness,
 )
 from hkquot.rep_core import weight_system_to_json
@@ -362,6 +363,13 @@ def test_semistable_paths_use_no_lp(monkeypatch, hirzebruch1):
     assert calls == []
 
 
+def clear_system_memos() -> None:
+    """Forget the one-system memos of the loci: the cell table and the
+    weight cocircuits."""
+    git_stability._cells.cache_clear()
+    git_stability.weight_cocircuits.cache_clear()
+
+
 #: several lines in one plane of R^3, so the walk meets lines that lie in
 #: the span of the lines already assigned 0
 COPLANAR = (
@@ -410,7 +418,7 @@ def walk_runs() -> list[WalkRun]:
         mp.setattr(oracles, "lp_maximize", memo_lp)
         mp.setattr(git_stability, "_unstable_covectors", recording)
         for ws in systems + list(DEGENERATE) + list(COPLANAR):
-            walk.cache_clear()
+            git_stability._cells.cache_clear()
             solved.clear()
             walks.clear()
             pair = (ws, doubled_weights(ws))
@@ -422,13 +430,15 @@ def walk_runs() -> list[WalkRun]:
             walk_lps = list(log)
             want.append(dfs_unstable_supports(pair[1]))
             runs.append(WalkRun(ws, got, want, walk_lps, oracle_lps, list(walks)))
-    walk.cache_clear()
+    git_stability._cells.cache_clear()
     return runs
 
 
 def test_chamber_walk_matches_dfs_oracle(walk_runs):
     for run in walk_runs:
         assert run.got == run.want, run.ws
+        assert cotangent_unstable_supports(run.ws) == run.want[1], run.ws
+    clear_system_memos()
 
 
 def test_chamber_walk_witnesses(walk_runs):
@@ -460,9 +470,10 @@ def test_chamber_walk_witnesses(walk_runs):
 
 
 def test_chamber_walk_issues_no_lp(monkeypatch, walk_runs):
-    # the closure solves no LP, takes at most one integer kernel per
+    # the closure solves no LP and takes at most one integer kernel per
     # (r - 1)-subset of its m vectors (the lines and theta, of rank r) plus
-    # one for their lineality space, and is memoized for one configuration
+    # one for their lineality space; the cell table holds one system, and
+    # the cotangent families read the base system's table
     calls: list = []
     solves: list = []
     monkeypatch.setattr(git_stability, "lp_maximize", counting_lp(calls))
@@ -470,26 +481,26 @@ def test_chamber_walk_issues_no_lp(monkeypatch, walk_runs):
     monkeypatch.setattr(
         exactlin, "integer_kernel_basis", counting_calls(solves, exactlin.integer_kernel_basis)
     )
-    git_stability._unstable_covectors.cache_clear()
+    clear_system_memos()
 
-    def closure_solves(ws) -> int:
+    def closure_solves(ws, family=unstable_maximal_supports) -> int:
         solves.clear()
-        unstable_maximal_supports(ws)
+        family(ws)
         return len(solves)
 
     sigma1, sigma8 = hirzebruch_weight_system(1), hirzebruch_weight_system(8)
     first = closure_solves(sigma1)
     assert first > 0
-    # the cotangent call right after the base call computes nothing
-    assert closure_solves(doubled_weights(sigma1)) == 0
+    # the cotangent families right after the base call compute nothing
+    assert closure_solves(sigma1, cotangent_unstable_supports) == 0
+    assert closure_solves(sigma1, cotangent_semistable_masks) == 0
     assert closure_solves(sigma8) > 0
-    assert closure_solves(doubled_weights(sigma8)) == 0
-    # the memo holds one configuration: back on Sigma_1 it recomputes
+    # the table holds one system: back on Sigma_1 it recomputes
     assert closure_solves(sigma1) == first
     for run in walk_runs:
         assert run.walk_lps == [], run.ws
-        git_stability._unstable_covectors.cache_clear()
-        n_solves = closure_solves(run.ws) + closure_solves(doubled_weights(run.ws))
+        clear_system_memos()
+        n_solves = closure_solves(run.ws) + closure_solves(run.ws, cotangent_unstable_supports)
         dirs, theta, _ = run.walks[0]
         if any(theta):
             vecs = list(dirs) + [list(theta)]
@@ -497,7 +508,7 @@ def test_chamber_walk_issues_no_lp(monkeypatch, walk_runs):
             assert n_solves <= math.comb(len(vecs), r - 1) + 1, run.ws
         else:
             assert n_solves == 0, run.ws
-    git_stability._unstable_covectors.cache_clear()
+    clear_system_memos()
     assert calls == []
 
 
@@ -592,32 +603,38 @@ def masks_to_sets(masks, n: int) -> list[frozenset]:
     return sorted((frozenset(i for i in range(n) if m >> i & 1) for m in masks), key=sorted)
 
 
+def has_positive_basis(ws: WeightSystem, S) -> bool:
+    """Caratheodory: theta lies in Cone{beta^i : i in S} iff S holds a
+    positive basis."""
+    return next(rref_positive_bases(ws, sorted(S)), None) is not None
+
+
 @settings(max_examples=300, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.too_slow])
-@given(small_systems(), st.data())
-def test_signed_basis_pass_matches_oracles(ws, data):
-    # the integer pass finds the rref oracle's positive bases, in order
-    signed = list(git_stability._signed_bases(ws, range(ws.n)))
-    assert [T for T, signs in signed if min(signs, default=1) > 0] == list(
-        rref_positive_bases(ws, range(ws.n))
-    )
-    # and, read with its signs, the positive bases of the cotangent system
+@given(st.one_of(small_systems(), st.sampled_from(DEGENERATE)), st.data())
+def test_semistable_loci_match_oracles(ws, data):
+    # the complement of the cells' down-closure, over n and 2n bits, and
+    # the per-support Farkas test on the cocircuits, against the exact LP
+    # and the positive bases
     n, dws = ws.n, doubled_weights(ws)
-    doubled_bases = {
-        frozenset(i if sgn > 0 else n + i for i, sgn in zip(T, signs)) for T, signs in signed
-    }
-    assert doubled_bases == set(map(frozenset, rref_positive_bases(dws, range(2 * n))))
+    want = {S: lp_semistable_support(ws, S) for S in all_supports(ws)}
+    assert semistable_supports(ws) == sorted((S for S in want if want[S]), key=sorted)
     derived = masks_to_sets(cotangent_semistable_masks(ws), 2 * n)
     assert derived == semistable_supports(dws)
-    # exact LP membership on every doubled support for n <= 3, else a sample
+    # every doubled support for n <= 3, else a sample
     if n <= 3:
-        supports = list(all_supports(dws))
+        doubled = list(all_supports(dws))
     else:
         picks = data.draw(st.lists(st.integers(0, 4**n - 1), min_size=1, max_size=12))
-        supports = [frozenset(i for i in range(2 * n) if m >> i & 1) for m in picks]
+        doubled = [frozenset(i for i in range(2 * n) if m >> i & 1) for m in picks]
     derived_set = set(derived)
-    for U in supports:
-        assert (U in derived_set) == lp_semistable_support(dws, U), (ws, sorted(U))
+    want_doubled = {U: lp_semistable_support(dws, U) for U in doubled}
+    for U in doubled:
+        assert (U in derived_set) == want_doubled[U], (ws, sorted(U))
+    for target, verdicts in ((ws, want), (dws, want_doubled)):
+        for S, semistable in verdicts.items():
+            assert semistable_support(target, S) == semistable, (target, sorted(S))
+            assert has_positive_basis(target, S) == semistable, (target, sorted(S))
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None,
@@ -626,11 +643,24 @@ def test_signed_basis_pass_matches_oracles(ws, data):
 def test_chamber_walk_matches_dfs_oracle_on_degenerate_systems(ws):
     # zero weights, repeated and opposite lines, rank-deficient supports,
     # theta = 0 and theta on the ray of a weight, on ws and its cotangent
-    # system
-    git_stability._unstable_covectors.cache_clear()
-    for target in (ws, doubled_weights(ws)):
+    # system; the cotangent family read off ws's cell table is the doubled
+    # system's own
+    dws = doubled_weights(ws)
+    for target in (ws, dws):
         assert unstable_maximal_supports(target) == dfs_unstable_supports(target)
-    git_stability._unstable_covectors.cache_clear()
+    assert cotangent_unstable_supports(ws) == unstable_maximal_supports(dws)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.one_of(small_systems(), st.sampled_from(DEGENERATE)), st.data())
+def test_classify_support_matches_oracles_on_degenerate_systems(ws, data):
+    # zero weights, opposite lines, theta = 0, theta on a weight's ray and
+    # rank-deficient supports: a few supports per draw, S = {} among them,
+    # against the LP oracle and the sound directions of the box oracle
+    for m in data.draw(st.lists(st.integers(0, (1 << ws.n) - 1), min_size=1, max_size=4)):
+        S = {i for i in range(ws.n) if m >> i & 1}
+        check_against_oracles(ws, indicator(ws, S), box_exact=ws in DEGENERATE)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None,
@@ -755,67 +785,62 @@ def test_analyze_semistable_budget(monkeypatch, hirzebruch1):
     rng = np.random.default_rng(37)
     systems = [hirzebruch1, hirzebruch_weight_system(2)] + list(DEGENERATE)
     systems += [random_weight_system(rng, nmax=5) for _ in range(6)]
-    circuits, signs, stabs = [], [], []
+    circuits, stabs = [], []
     monkeypatch.setattr(
         git_stability, "cocircuits", counting_calls(circuits, exactlin.cocircuits)
-    )
-    monkeypatch.setattr(
-        git_stability, "solution_signs", counting_calls(signs, exactlin.solution_signs)
     )
     monkeypatch.setattr(
         git_stability, "stabilizer", counting_calls(stabs, git_stability.stabilizer)
     )
     for ws in systems:
-        # the unstable enumeration takes one cocircuit pass, shared with the
-        # cotangent system, and none when theta = 0
-        git_stability._unstable_covectors.cache_clear()
+        # one cocircuit pass of (lines, theta), none when theta = 0, makes
+        # the cell table, which gives all four families of ws and of its
+        # cotangent system
+        clear_system_memos()
         circuits.clear()
         unstable_maximal_supports(ws)
-        unstable_maximal_supports(doubled_weights(ws))
+        cotangent_unstable_supports(ws)
+        semistable_supports(ws)
+        cotangent_semistable_masks(ws)
         assert len(circuits) == (1 if any(ws.theta) else 0)
-        git_stability._unstable_covectors.cache_clear()
-        git_stability._basis_masks.cache_clear()
-        git_stability.weight_cocircuits.cache_clear()
+        assert git_stability._cells.cache_info().misses == 1
+        clear_system_memos()
         circuits.clear()
         stabs.clear()
         cmd_analyze(RunConfig(), analyze_json(ws))
         # cmd_analyze adds exactly one pass, of the weights, shared by
-        # compactness and hol-consistency; the semistable paths take none
+        # compactness and hol-consistency
         assert len(circuits) == (1 if any(ws.theta) else 0) + 1
-        # one signed-basis pass serves ws and the cotangent system
-        assert git_stability._basis_masks.cache_info().misses == 1
+        assert [args[0] for args in circuits].count(ws.weights) == 1
+        assert git_stability._cells.cache_info().misses == 1
         # the strata behind `smooth` and `kahler_strata` are computed once
         supports = [frozenset(args[1]) for args in stabs]
         assert sorted(supports, key=sorted) == semistable_supports(ws)
-        # quotient_compact is one cocircuit pass and no signed bases
+        # quotient_compact is one cocircuit pass, of the weights
         git_stability.weight_cocircuits.cache_clear()
         circuits.clear()
-        signs.clear()
         quotient_compact(ws)
-        assert len(circuits) == 1 and signs == []
-    circuits.clear()
-    for ws in systems[:3]:
+        assert [args[0] for args in circuits] == [ws.weights]
+        # one support takes one pass of (beta_S, theta), none when theta = 0
+        circuits.clear()
         semistable_support(ws, range(ws.n))
-        semistable_supports(ws)
-        kahler_strata(ws)
-        quotient_smooth(ws)
-    assert circuits == []
+        assert len(circuits) == (1 if any(ws.theta) else 0)
     for ws in systems[:3]:
-        # the candidates' hol-consistency reads one pass of the weights
+        # the candidates read the cell table and one pass of the weights
+        semistable_supports(ws)
         git_stability.weight_cocircuits.cache_clear()
         circuits.clear()
         hk_candidate_strata(ws)
         assert [args[0] for args in circuits] == [ws.weights]
-    git_stability._basis_masks.cache_clear()
-    git_stability.weight_cocircuits.cache_clear()
+    clear_system_memos()
 
 
-def test_signed_basis_memo_holds_one_system(hirzebruch1):
-    # systems A, B, A: the memo holds one system, so each is a fresh pass,
+def test_cell_table_memo_holds_one_system(hirzebruch1):
+    # systems A, B, A: the memo holds one system, so each is a fresh table,
     # and A's output does not depend on B in between
     sigma2 = hirzebruch_weight_system(2)
-    git_stability._basis_masks.cache_clear()
+    git_stability._cells.cache_clear()
     outs = [cmd_analyze(RunConfig(), analyze_json(ws)) for ws in (hirzebruch1, sigma2, hirzebruch1)]
-    assert git_stability._basis_masks.cache_info().misses == 3
+    assert git_stability._cells.cache_info().misses == 3
     assert outs[0] == outs[2] != outs[1]
-    git_stability._basis_masks.cache_clear()
+    git_stability._cells.cache_clear()

@@ -72,6 +72,15 @@ def test_weight_system_converts_each_input_type():
         WeightSystem(2, np.array([[1, 0, 0]]), (0, 0))
 
 
+def test_numpy_theta_entries_pair_exactly():
+    # a numpy int in theta becomes a Fraction of plain ints, so exact
+    # pairings do not wrap at 64 bits
+    for t in (np.int64(3), np.int32(3), np.uint8(3)):
+        ws = WeightSystem(1, ((1,),), (t,))
+        assert type(ws.theta[0].numerator) is int
+        assert ws.theta_pairing((2**62,)) == 3 * 2**62
+
+
 def test_weight_system_pairings(hirzebruch1):
     ws = hirzebruch1
     assert ws.n == 4 and ws.rank == 2
