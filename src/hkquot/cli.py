@@ -53,7 +53,7 @@ from .rep_core import (
 )
 from .scalars import parse_rational
 from .strata_examples import (
-    CandidateJson,
+    HKStratumCandidate,
     hirzebruch_report_text,
     hirzebruch_suite,
     hk_candidate_strata,
@@ -171,7 +171,8 @@ def cmd_analyze(cfg: RunConfig, weights: str) -> dict:
             "offending_support": None if offending is None else sorted(offending),
         },
         "kahler_strata": [s.to_json() for s in strata],
-        "hk_candidates": [c.to_json() for c in hk_candidate_strata(ws, cfg.bound)],
+        # the frozen candidates themselves, which `render` writes
+        "hk_candidates": hk_candidate_strata(ws, cfg.bound),
     }
 
 
@@ -258,6 +259,8 @@ def cmd_hirzebruch(cfg: RunConfig, n: int, c0: str, c1: str) -> dict:
 
 
 def _flatten(prefix: str, value, rows: list):
+    if isinstance(value, HKStratumCandidate):
+        value = value.to_json()
     if isinstance(value, dict):
         for key in sorted(value):
             _flatten(f"{prefix}.{key}" if prefix else str(key), value[key], rows)
@@ -306,8 +309,8 @@ def _scalar_json(o) -> Optional[str]:
 
 #: the text json.dumps(node, sort_keys=True, indent=2) writes, for a node
 #: that carries it, by exact type: a Gram row or a bare HK candidate; None
-#: sends the node down the generic path
-_NODE_JSON = {Sig12Row: attrgetter("json"), CandidateJson: CandidateJson.text}
+#: sends a row down the generic path and a candidate to its to_json()
+_NODE_JSON = {Sig12Row: attrgetter("json"), HKStratumCandidate: HKStratumCandidate.bare_json}
 
 
 def _key_json(key) -> str:
@@ -327,11 +330,12 @@ def _write_json(o, nl: str, out: list, chunks: list) -> None:
     looked up by its exact type (`_SCALAR_JSON`); subclasses and numpy
     floats take json's isinstance order, and whatever json rejects raises
     TypeError.  A node that carries its text (`_NODE_JSON`, by exact
-    type) is written from it, re-indented to `nl`.  That text is made when
-    `cmd_*` builds the payload, so a payload must not be mutated between
-    `cmd_*` and `render`.  There is no circular-reference check.  Once
-    `out` holds more than 4096 pieces they are joined onto `chunks`, so a
-    large payload is not held once per piece.
+    type) is written from it, re-indented to `nl`, and a candidate with
+    none from its `to_json()`.  A `Sig12Row`'s text is made when `cmd_*`
+    builds the payload, so a row must not be mutated between `cmd_*` and
+    `render`.  There is no circular-reference check.  Once `out` holds
+    more than 4096 pieces they are joined onto `chunks`, so a large
+    payload is not held once per piece.
     """
     f = _SCALAR_JSON.get(type(o))
     if f is not None:
@@ -341,6 +345,8 @@ def _write_json(o, nl: str, out: list, chunks: list) -> None:
     text = None if f is None else f(o)
     if text is not None:
         out.append(text.replace("\n", nl))
+    elif type(o) is HKStratumCandidate:
+        _write_json(o.to_json(), nl, out, chunks)
     elif isinstance(o, dict):
         if not o:
             out.append("{}")

@@ -438,14 +438,15 @@ def _lattice_classes(ws: WeightSystem) -> tuple[list[int], list, dict[int, Stabi
     return bits, list(classes), {}
 
 
-def _semistable_masks(unstable: Iterable[int], nbits: int) -> set[int]:
+def _semistable_masks(unstable: Iterable[int], nbits: int) -> Iterator[int]:
     """Every nbits-bit mask inside none of the masks `unstable`.
 
     By Hilbert-Mumford the unstable supports are the subsets of the cells'
     supports S(xi), so the semistable ones are the complement of their
     down-closure.  One byte per mask marks it semistable; each S(xi),
     largest first, clears its submasks, and one inside a mask already
-    cleared is skipped, its submasks being cleared too.
+    cleared is skipped, its submasks being cleared too.  The masks come
+    off the marks in increasing order, one at a time.
     """
     keep = bytearray(b"\1") * (1 << nbits)
     for top in sorted(set(unstable), key=int.bit_count, reverse=True):
@@ -456,7 +457,7 @@ def _semistable_masks(unstable: Iterable[int], nbits: int) -> set[int]:
                 if not sub:
                     break
                 sub = (sub - 1) & top
-    return set(compress(range(1 << nbits), keep))
+    return compress(range(1 << nbits), keep)
 
 
 def semistable_supports(ws: WeightSystem, bound: int = DEFAULT_BOUND) -> list[frozenset]:
@@ -467,10 +468,10 @@ def semistable_supports(ws: WeightSystem, bound: int = DEFAULT_BOUND) -> list[fr
     return _as_supports(_semistable_masks((nonneg for nonneg, _ in _cells(ws)), ws.n), ws.n)
 
 
-def cotangent_semistable_masks(ws: WeightSystem) -> set[int]:
+def cotangent_semistable_masks(ws: WeightSystem) -> Iterator[int]:
     """The semistable supports of `doubled_weights(ws)` as 2n-bit masks,
     bit n + i standing for the fiber coordinate z_i: those inside none of
-    the doubled supports of ws's cells."""
+    the doubled supports of ws's cells, in increasing order, one at a time."""
     return _semistable_masks(_cotangent_cells(ws), 2 * ws.n)
 
 

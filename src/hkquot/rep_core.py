@@ -99,12 +99,15 @@ class WeightSystem:
 
 def weight_system_from_json(data: dict) -> WeightSystem:
     try:
-        rank = int(data["rank"])
-        weights = data["weights"]
+        rank, weights = data["rank"], data["weights"]
         theta = tuple(parse_rational(t) for t in data["theta"])
     except KeyError as exc:
         raise ValueError(f"weight system JSON missing field {exc}") from None
-    return WeightSystem(rank=rank, weights=weights, theta=theta)
+    # int() would read JSON's true, or 1.7, as an integer silently
+    for v in (rank, *(v for w in weights for v in w)):
+        if isinstance(v, bool) or (isinstance(v, float) and not v.is_integer()):
+            raise ValueError(f"not an integer: {v!r}")
+    return WeightSystem(rank=int(rank), weights=weights, theta=theta)
 
 
 def weight_system_to_json(ws: WeightSystem) -> dict:

@@ -79,35 +79,28 @@ class HKStratumCandidate:
     log: tuple[str, ...] = ()
 
     def to_json(self) -> dict:
-        bare = self.witness is None and self.witness_residual is None and not self.log
-        out = (CandidateJson if bare else dict)(
-            support_x=sorted(self.support_x),
-            support_z=sorted(self.support_z),
-            stabilizer=self.stabilizer.to_json(),
-            status=self.status,
-            witness=None if self.witness is None else point_to_json(self.witness),
-            witness_residual=self.witness_residual,
-            log=list(self.log),
-        )
-        if bare:
-            x, z = frozenset(self.support_x), frozenset(self.support_z)
-            out.pieces = tuple(map(_json_piece, (self.stabilizer, self.status, x, z)))
-        return out
+        return {
+            "support_x": sorted(self.support_x),
+            "support_z": sorted(self.support_z),
+            "stabilizer": self.stabilizer.to_json(),
+            "status": self.status,
+            "witness": None if self.witness is None else point_to_json(self.witness),
+            "witness_residual": self.witness_residual,
+            "log": list(self.log),
+        }
+
+    def bare_json(self) -> Optional[str]:
+        """json.dumps(self.to_json(), sort_keys=True, indent=2) for a
+        candidate with no witness, no residual and an empty log, joined from
+        texts shared between candidates; None for any other."""
+        if self.witness is None and self.witness_residual is None and not self.log:
+            fields = (self.stabilizer, self.status, frozenset(self.support_x), frozenset(self.support_z))
+            return _BARE_JSON % tuple(map(_json_piece, fields))
+        return None
 
 
-class CandidateJson(dict):
-    """`HKStratumCandidate.to_json()` with no witness, no residual and an
-    empty log.  `pieces` holds the JSON texts of its stabilizer, status,
-    support_x and support_z, shared by every candidate that has them."""
-
-    __slots__ = ("pieces",)
-
-    def text(self) -> str:
-        """json.dumps(self, sort_keys=True, indent=2), joined from `pieces`."""
-        return (
-            '{\n  "log": [],\n  "stabilizer": %s,\n  "status": %s,\n  "support_x": %s,\n'
-            '  "support_z": %s,\n  "witness": null,\n  "witness_residual": null\n}'
-        ) % self.pieces
+_BARE_JSON = ('{\n  "log": [],\n  "stabilizer": %s,\n  "status": %s,\n  "support_x": %s,\n'
+              '  "support_z": %s,\n  "witness": null,\n  "witness_residual": null\n}')
 
 
 @lru_cache(maxsize=1 << (STRATA_BOUND + 2))
@@ -141,7 +134,7 @@ def hol_consistent(ws: WeightSystem, T) -> bool:
 
 def hk_candidate_strata(ws: WeightSystem, bound: int = STRATA_BOUND) -> list[HKStratumCandidate]:
     """Support pairs passing the exact necessary conditions, grouped by
-    stabilizer signature (trivial stabilizer first).
+    stabilizer signature in increasing order (trivial, (0, ()), first).
 
     The doubled supports come as bitmasks from ws's own cell table
     (`cotangent_semistable_masks`), x in the low n bits and z in the
@@ -174,13 +167,9 @@ def hk_candidate_strata(ws: WeightSystem, bound: int = STRATA_BOUND) -> list[HKS
         if W not in stabilizers:
             stabilizers[W] = stabilizer(ws, indices(W))
         pairs.append((stabilizers[W], indices(x), indices(z)))
-    trivial = (0, ())
-    pairs.sort(key=lambda p: (p[0].signature != trivial, p[0].signature, p[1], p[2]))
+    pairs.sort(key=lambda p: (p[0].signature, p[1], p[2]))
     sets = {idx: frozenset(idx) for idx in members.values()}
-    return [
-        HKStratumCandidate(support_x=sets[x], support_z=sets[z], stabilizer=info)
-        for info, x, z in pairs
-    ]
+    return [HKStratumCandidate(sets[x], sets[z], info) for info, x, z in pairs]
 
 
 def _sample_on_hol_zero(

@@ -18,11 +18,14 @@ from hkquot import (
     Cocharacter,
     WeightSystem,
     act_imaginary,
+    doubled_weights,
     mu,
+    semistable_support,
     semistable_supports,
     stabilizer,
 )
 from hkquot.exactlin import integer_primitive, lp_maximize
+from hkquot.strata_examples import HKStratumCandidate
 
 BOX = 10
 
@@ -152,6 +155,26 @@ def kernel_cover_hol_consistent(ws: WeightSystem, T) -> bool:
         covered.add(idx[f])
         covered |= {idx[p] for r, p in enumerate(pivots) if red[r][f] != 0}
     return covered == set(idx)
+
+
+def brute_hk_candidates(ws: WeightSystem) -> list[HKStratumCandidate]:
+    """The HK candidates of ws over all 4^n pairs (sx, sz): those whose
+    doubled support U is semistable for the doubled system, one support at
+    a time, and whose T = sx & sz passes the kernel-cover test, with the
+    doubled system's stabilizer on U.  Trivial stabilizer first, then by
+    signature, then by the sorted supports."""
+    n, dws = ws.n, doubled_weights(ws)
+    subsets = [frozenset(i for i in range(n) if m >> i & 1) for m in range(1 << n)]
+    found = []
+    for sx in subsets:
+        for sz in subsets:
+            U = set(sx) | {n + i for i in sz}
+            if semistable_support(dws, U) and kernel_cover_hol_consistent(ws, sx & sz):
+                found.append(HKStratumCandidate(sx, sz, stabilizer(dws, U)))
+    found.sort(key=lambda c: (
+        not c.stabilizer.is_trivial, c.stabilizer.signature, sorted(c.support_x), sorted(c.support_z)
+    ))
+    return found
 
 
 def loop_quotient_smooth(ws: WeightSystem) -> tuple[bool, Optional[frozenset]]:

@@ -21,7 +21,7 @@ from hkquot.cli import RunConfig, _numeric_scalar, cmd_analyze, main, render
 from hkquot.rep_core import weight_system_to_json
 from hkquot.scalars import parse_rational
 from hkquot.strata_examples import (
-    CandidateJson,
+    HKStratumCandidate,
     certify_stratum,
     hirzebruch_weight_system,
     hk_candidate_strata,
@@ -226,6 +226,23 @@ def test_numeric_point_rejects_bool_and_text(capsys):
         assert (code, out) == (2, "") and "invalid point" in err, coord
 
 
+def test_weight_json_rejects_bool_and_fractional_integers(capsys):
+    # JSON true and 1.7 as the rank or a weight entry are errors, as true
+    # is for theta, not 1; an integral float such as 2.0 reads as 2
+    for data in (
+        '{"rank": 1, "weights": [[1.7], [1]], "theta": ["1/2"]}',
+        '{"rank": 1.9, "weights": [[1], [1]], "theta": ["1/2"]}',
+        '{"rank": 1, "weights": [[true], [1]], "theta": ["1/2"]}',
+        '{"rank": true, "weights": [[1], [1]], "theta": ["1/2"]}',
+        '{"rank": 1, "weights": [[1], [1e999]], "theta": ["1/2"]}',
+    ):
+        code, out, err = run(capsys, "analyze", data)
+        assert (code, out) == (2, "") and err.startswith("invalid weight system: "), data
+    code, out, _ = run(capsys, "analyze", '{"rank": 1.0, "weights": [[1.0], [2.0]], "theta": ["1/2"]}')
+    assert code == 0
+    assert json.loads(out)["weight_system"]["weights"] == [[1], [2]]
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -402,20 +419,22 @@ def _degenerate_systems():
 
 
 def test_analyze_renders_as_its_plain_payload():
-    # bare HK candidates are written from shared text pieces; every format
-    # must read as the same payload made of plain dicts and lists
+    # the payload holds the HK candidates themselves, bare ones written from
+    # shared text pieces; every format must read as the same payload made
+    # of plain dicts and lists, the candidates as their to_json()
     shapes = set()
     for ws in _degenerate_systems():
         payload = cmd_analyze(RunConfig(), json.dumps(weight_system_to_json(ws)))
-        plain = json.loads(json.dumps(payload))
+        docs = [c.to_json() for c in payload["hk_candidates"]]
+        plain = json.loads(json.dumps({**payload, "hk_candidates": docs}))
         for fmt in ("json", "table", "csv"):
             assert render(payload, fmt) == render(plain, fmt)
         assert render(payload, "json") == json.dumps(plain, sort_keys=True, indent=2)
         for c in payload["hk_candidates"]:
-            assert type(c) is CandidateJson
-            stab = c["stabilizer"]
-            shapes.add("finite" if stab["finite_invariants"] else "trivial")
-            shapes.add("subtorus" if stab["order"] is None else "finite order")
+            assert type(c) is HKStratumCandidate
+            stab = c.stabilizer
+            shapes.add("finite" if stab.finite_invariants else "trivial")
+            shapes.add("subtorus" if stab.order is None else "finite order")
     assert shapes == {"finite", "trivial", "subtorus", "finite order"}
 
 
@@ -445,10 +464,33 @@ def test_json_render_of_certified_and_replaced_candidates(hirzebruch1):
         replace(moved, support_x=moved.support_z, support_z=moved.support_x),
     ]
     docs = [c.to_json() for c in candidates]
-    assert [type(d) for d in docs] == [CandidateJson, dict, dict, dict] + [CandidateJson] * 2
-    for payload in (docs[0], docs, {"a": {"b": docs, "c": [[docs[-1]]]}}):
-        plain = json.loads(json.dumps(payload))
+    assert {type(d) for d in docs} == {dict}
+    texts = [c.bare_json() for c in candidates]
+    assert [t is not None for t in texts] == [True, False, False, False, True, True]
+    for c, doc, text in zip(candidates, docs, texts):
+        assert text in (None, json.dumps(doc, sort_keys=True, indent=2))
+    nested = [
+        (candidates[0], docs[0]),
+        (candidates, docs),
+        ({"a": {"b": candidates, "c": [[candidates[-1]]]}}, {"a": {"b": docs, "c": [[docs[-1]]]}}),
+    ]
+    for payload, doc in nested:
+        plain = json.loads(json.dumps(doc))
         assert render(payload, "json") == json.dumps(plain, sort_keys=True, indent=2)
+
+
+def test_json_render_of_analyze_builds_no_candidate_dicts(monkeypatch):
+    # every HK candidate of Sigma_1 is bare: neither cmd_analyze nor the
+    # JSON writer calls its to_json(); the csv path reads one per candidate
+    calls = []
+    to_json = HKStratumCandidate.to_json
+    monkeypatch.setattr(HKStratumCandidate, "to_json", lambda c: calls.append(c) or to_json(c))
+    payload = cmd_analyze(RunConfig(), HIRZEBRUCH1)
+    text = render(payload, "json")
+    assert payload["hk_candidates"] and calls == []
+    assert json.loads(text)["hk_candidates"] == [to_json(c) for c in payload["hk_candidates"]]
+    render(payload, "csv")
+    assert calls == payload["hk_candidates"]
 
 
 def test_csv_and_table_render(capsys):

@@ -8,7 +8,7 @@ from typing import NamedTuple
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, given, seed, settings
 from hypothesis import strategies as st
 
 from hkquot import (
@@ -51,6 +51,7 @@ import oracles
 from oracles import (
     box_classify_support,
     box_polystable_support,
+    brute_hk_candidates,
     dfs_unstable_supports,
     kernel_cover_hol_consistent,
     lp_quotient_compact,
@@ -637,6 +638,10 @@ def test_semistable_loci_match_oracles(ws, data):
             assert has_positive_basis(target, S) == semistable, (target, sorted(S))
 
 
+# the seed derandomize=True derives from this test's source, pinned so that
+# an edit to the body does not redraw the systems (and change the DFS
+# oracle's cost with them)
+@seed(17303447417662363526821777158943674844227175218530714677575208204868058957776593273159428681164525458589922543388599)
 @settings(max_examples=100, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(small_systems(nmax=4))
@@ -687,6 +692,19 @@ def test_hol_consistency_matches_kernel_cover_oracle(ws):
     for m in range(1 << ws.n):
         T = {i for i in range(ws.n) if m >> i & 1}
         assert hol_consistent(ws, T) == kernel_cover_hol_consistent(ws, T), (ws, sorted(T))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.one_of(small_systems(nmax=4), st.sampled_from(DEGENERATE)))
+def test_hk_candidates_match_per_pair_oracle(ws):
+    # the candidates read off the cell table, the weight cocircuits and one
+    # Smith form per lattice are the per-pair filter over all 4^n pairs,
+    # in the same order; a bare candidate's text is json.dumps of its dict
+    cands = hk_candidate_strata(ws)
+    assert cands == brute_hk_candidates(ws), ws
+    for c in cands:
+        assert c.bare_json() == json.dumps(c.to_json(), sort_keys=True, indent=2)
 
 
 def weight_classes(ws: WeightSystem, S) -> frozenset:
@@ -746,7 +764,7 @@ def test_analyze_takes_one_smith_form_per_lattice_class(monkeypatch, hirzebruch1
         circuits.clear()
         out = cmd_analyze(RunConfig(), analyze_json(ws))
         supports = [S for rec in out["kahler_strata"] for S in rec["supports"]]
-        supports += [c["support_x"] + c["support_z"] for c in out["hk_candidates"]]
+        supports += [[*c.support_x, *c.support_z] for c in out["hk_candidates"]]
         assert len(smiths) == len({weight_classes(ws, S) for S in supports}), ws
         assert [args[0] for args in circuits].count(ws.weights) == 1
     git_stability._lattice_classes.cache_clear()
