@@ -10,12 +10,13 @@ hkquot/schemas/.  Exit codes: 0 success, 2 precondition or parse error,
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import math
 import sys
 from dataclasses import dataclass
+from functools import lru_cache
 from json.encoder import encode_basestring_ascii
-from operator import attrgetter
 from pathlib import Path
 from typing import Optional
 
@@ -24,6 +25,7 @@ import numpy as np
 from .errors import BoundExceededError, PreconditionError, UndecidedError
 from .git_stability import (
     DEFAULT_BOUND,
+    StabilizerInfo,
     check_bound,
     classify_point,
     cotangent_unstable_supports,
@@ -53,6 +55,7 @@ from .rep_core import (
 )
 from .scalars import parse_rational
 from .strata_examples import (
+    STRATA_BOUND,
     HKStratumCandidate,
     hirzebruch_report_text,
     hirzebruch_suite,
@@ -171,7 +174,7 @@ def cmd_analyze(cfg: RunConfig, weights: str) -> dict:
             "offending_support": None if offending is None else sorted(offending),
         },
         "kahler_strata": [s.to_json() for s in strata],
-        # the frozen candidates themselves, which `render` writes
+        # the frozen candidates themselves, not their dicts
         "hk_candidates": hk_candidate_strata(ws, cfg.bound),
     }
 
@@ -225,10 +228,14 @@ def cmd_metric(cfg: RunConfig, weights: str, point: str, pairs: Optional[str]) -
     report.update({"schema": 1, "command": "metric"})
     if pairs is not None:
         data = _load_json_arg(pairs, "tangent-pairs")
+        if not isinstance(data, list) or not all(
+            isinstance(e, list) and len(e) == 2 and all(isinstance(w, list) for w in e) for e in data
+        ):
+            raise CliError(f"invalid tangent pairs: expected a list of [u, v], u and v lists, got {pairs}")
         rows = []
-        for entry in data:
-            u = frame.project(np.asarray(entry[0], dtype=float))
-            v = frame.project(np.asarray(entry[1], dtype=float))
+        for u, v in data:
+            u = frame.project(np.asarray(u, dtype=float))
+            v = frame.project(np.asarray(v, dtype=float))
             rows.append(
                 {
                     "g": reduced_metric(frame, u, v),
@@ -307,12 +314,6 @@ def _scalar_json(o) -> Optional[str]:
     return None
 
 
-#: the text json.dumps(node, sort_keys=True, indent=2) writes, for a node
-#: that carries it, by exact type: a Gram row or a bare HK candidate; None
-#: sends a row down the generic path and a candidate to its to_json()
-_NODE_JSON = {Sig12Row: attrgetter("json"), HKStratumCandidate: HKStratumCandidate.bare_json}
-
-
 def _key_json(key) -> str:
     text = _scalar_json(key)
     if text is None:
@@ -320,36 +321,31 @@ def _key_json(key) -> str:
     return text if isinstance(key, str) else '"' + text + '"'
 
 
-def _write_json(o, nl: str, out: list, chunks: list) -> None:
-    """Append json.dumps(o, sort_keys=True, indent=2) to `out` in pieces,
+def _write_json(o, nl: str, write) -> None:
+    """Write json.dumps(o, sort_keys=True, indent=2) in pieces to `write`,
     o standing at the line break and indent `nl`.
 
     json writes with its C encoder only when indent is None; with an
     indent every token goes through nested Python generators.  Here a list
-    of exact ints, or of exact finite floats, is one join, and a scalar is
+    of exact ints, or of exact finite floats, is one piece, and a scalar is
     looked up by its exact type (`_SCALAR_JSON`); subclasses and numpy
     floats take json's isinstance order, and whatever json rejects raises
-    TypeError.  A node that carries its text (`_NODE_JSON`, by exact
-    type) is written from it, re-indented to `nl`, and a candidate with
-    none from its `to_json()`.  A `Sig12Row`'s text is made when `cmd_*`
-    builds the payload, so a row must not be mutated between `cmd_*` and
-    `render`.  There is no circular-reference check.  Once `out` holds
-    more than 4096 pieces they are joined onto `chunks`, so a large
-    payload is not held once per piece.
+    TypeError.  A `Sig12Row` is joined from the tokens it carries, which
+    are made when `cmd_*` builds the payload, so a row must not be mutated
+    before it is written.  An HK candidate is written as its `to_json()`
+    (`_write_candidate`).  There is no circular-reference check.
     """
     f = _SCALAR_JSON.get(type(o))
     if f is not None:
-        out.append(f(o))
-        return
-    f = _NODE_JSON.get(type(o))
-    text = None if f is None else f(o)
-    if text is not None:
-        out.append(text.replace("\n", nl))
+        write(f(o))
+    elif type(o) is Sig12Row and o.tokens is not None:
+        inner = nl + "  "
+        write("[" + inner + ("," + inner).join(o.tokens) + nl + "]")
     elif type(o) is HKStratumCandidate:
-        _write_json(o.to_json(), nl, out, chunks)
+        _write_candidate(o, nl, write)
     elif isinstance(o, dict):
         if not o:
-            out.append("{}")
+            write("{}")
             return
         inner = nl + "  "
         head, sep = "{" + inner, "," + inner
@@ -357,55 +353,77 @@ def _write_json(o, nl: str, out: list, chunks: list) -> None:
             key = encode_basestring_ascii(key) if type(key) is str else _key_json(key)
             f = _SCALAR_JSON.get(type(value))
             if f is not None:
-                out.append(head + key + ": " + f(value))
+                write(head + key + ": " + f(value))
             else:
-                out.append(head + key + ": ")
-                _write_json(value, inner, out, chunks)
+                write(head + key + ": ")
+                _write_json(value, inner, write)
             head = sep
-        out.append(nl + "}")
+        write(nl + "}")
     elif isinstance(o, (list, tuple)):
         if not o:
-            out.append("[]")
+            write("[]")
             return
         inner = nl + "  "
         head, sep = "[" + inner, "," + inner
         kinds = set(map(type, o))
         if kinds == {int}:
-            out.append(head + sep.join(map(int.__repr__, o)) + nl + "]")
+            write(head + sep.join(map(int.__repr__, o)) + nl + "]")
             return
         if kinds == {float}:
             text = sep.join(map(float.__repr__, o))
             if "n" not in text:  # no nan or inf, which json spells NaN and Infinity
-                out.append(head + text + nl + "]")
+                write(head + text + nl + "]")
                 return
         for value in o:
             f = _SCALAR_JSON.get(type(value))
             if f is not None:
-                out.append(head + f(value))
+                write(head + f(value))
             else:
-                out.append(head)
-                _write_json(value, inner, out, chunks)
+                write(head)
+                _write_json(value, inner, write)
             head = sep
-        out.append(nl + "]")
+        write(nl + "]")
     else:
         text = _scalar_json(o)
         if text is None:
             raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
-        out.append(text)
+        write(text)
+
+
+def _json_text(o, nl: str = "\n") -> str:
+    buf = io.StringIO()
+    _write_json(o, nl, buf.write)
+    return buf.getvalue()
+
+
+@lru_cache(maxsize=1 << (STRATA_BOUND + 2))
+def _field_json(field, nl: str) -> str:
+    """The JSON text of an HK candidate's support, stabilizer or status at
+    `nl`, made once for each distinct value (the cache has room for all of
+    a system's supports and stabilizers)."""
+    if isinstance(field, frozenset):
+        field = sorted(field)
+    elif isinstance(field, StabilizerInfo):
+        field = field.to_json()
+    return _json_text(field, nl)
+
+
+def _write_candidate(c: HKStratumCandidate, nl: str, write) -> None:
+    """Write c.to_json(); a bare candidate, with no witness, no residual and
+    an empty log, is joined from the texts of its fields, with no dict."""
+    if c.witness is not None or c.witness_residual is not None or c.log:
+        _write_json(c.to_json(), nl, write)
         return
-    if len(out) > 4096:
-        chunks.append("".join(out))
-        out.clear()
+    i = nl + "  "
+    write(f'{{{i}"log": [],{i}"stabilizer": {_field_json(c.stabilizer, i)},{i}"status": {_field_json(c.status, i)},'
+          f'{i}"support_x": {_field_json(c.support_x, i)},{i}"support_z": {_field_json(c.support_z, i)},'
+          f'{i}"witness": null,{i}"witness_residual": null{nl}}}')
 
 
 def render(payload: dict, fmt: str) -> str:
     if fmt == "json":
         # the text of json.dumps(payload, sort_keys=True, indent=2)
-        out: list[str] = []
-        chunks: list[str] = []
-        _write_json(payload, "\n", out, chunks)
-        chunks.append("".join(out))
-        return "".join(chunks)
+        return _json_text(payload)
     if payload.get("command") == "hirzebruch" and fmt == "table":
         return hirzebruch_report_text(payload)
     rows: list[tuple[str, str]] = []
@@ -492,7 +510,13 @@ def main(argv: Optional[list[str]] = None) -> int:
     except UndecidedError as exc:
         print(f"undecided: {exc}", file=sys.stderr)
         return EXIT_UNDECIDED
-    print(render(payload, cfg.fmt))
+    if cfg.fmt == "json":
+        # written as it is made, so that the text is never held whole
+        write = sys.stdout.write
+        _write_json(payload, "\n", write)
+        write("\n")
+    else:
+        print(render(payload, cfg.fmt))
     if payload.get("command") == "hirzebruch" and not payload.get("passed", False):
         return EXIT_ASSERTION
     return EXIT_OK

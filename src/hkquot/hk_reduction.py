@@ -215,22 +215,22 @@ def _sig12(x: float) -> float:
 
 
 class Sig12Row(list):
-    """A row of `_sig12` values that carries its JSON text.
+    """A row of `_sig12` values that carries their JSON tokens.
 
-    `json` is the text json.dumps(row, indent=2) writes: the row's "%.12g"
-    tokens, with ".0" appended to integer tokens, one to a line.
-    For a normal double the shortest repr of float(D), D a decimal of at
-    most 12 digits, has D's digits, since distinct decimals of at most 15
-    digits are distinct doubles (Steele and White 1990; Gay 1990).  Only
-    the layout can differ, and there `json` is None: for "e+1" in the text
-    (repr writes exponents 12 to 15 in fixed point), "e-3" (an exponent of
-    -300 or below may be a subnormal, which has fewer digits) and "n" (nan
-    and inf, which json spells its own way).  The exponents 16 to 19, 100
-    to 199 and -30 to -39 that these substring tests also catch lose
-    nothing but speed.
+    `tokens` are the row's "%.12g" texts, with ".0" appended to integer
+    ones: the repr json writes for each value.  For a normal double the
+    shortest repr of float(D), D a decimal of at most 12 digits, has D's
+    digits, since distinct decimals of at most 15 digits are distinct
+    doubles (Steele and White 1990; Gay 1990).  Only the layout can
+    differ, and there `tokens` is None: for "e+1" in the text (repr writes
+    exponents 12 to 15 in fixed point), "e-3" (an exponent of -300 or
+    below may be a subnormal, which has fewer digits) and "n" (nan and
+    inf, which json spells its own way).  The exponents 16 to 19, 100 to
+    199 and -30 to -39 that these substring tests also catch lose nothing
+    but speed.
     """
 
-    __slots__ = ("json",)
+    __slots__ = ("tokens",)
 
 
 def _sig12_rows(mat: np.ndarray) -> list[Sig12Row]:
@@ -243,10 +243,9 @@ def _sig12_rows(mat: np.ndarray) -> list[Sig12Row]:
         tokens = text.split(", ")
         out = Sig12Row(map(float, tokens))
         if "e+1" in text or "e-3" in text or "n" in text:
-            out.json = None
+            out.tokens = None
         else:
-            tokens = [t if "." in t or "e" in t else t + ".0" for t in tokens]
-            out.json = "[\n  " + ",\n  ".join(tokens) + "\n]"
+            out.tokens = [t if "." in t or "e" in t else t + ".0" for t in tokens]
         rows.append(out)
     return rows
 

@@ -21,11 +21,9 @@ cyclic group of order n acting on the transverse slice.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations
 from typing import Optional, Sequence
 
@@ -88,31 +86,6 @@ class HKStratumCandidate:
             "witness_residual": self.witness_residual,
             "log": list(self.log),
         }
-
-    def bare_json(self) -> Optional[str]:
-        """json.dumps(self.to_json(), sort_keys=True, indent=2) for a
-        candidate with no witness, no residual and an empty log, joined from
-        texts shared between candidates; None for any other."""
-        if self.witness is None and self.witness_residual is None and not self.log:
-            fields = (self.stabilizer, self.status, frozenset(self.support_x), frozenset(self.support_z))
-            return _BARE_JSON % tuple(map(_json_piece, fields))
-        return None
-
-
-_BARE_JSON = ('{\n  "log": [],\n  "stabilizer": %s,\n  "status": %s,\n  "support_x": %s,\n'
-              '  "support_z": %s,\n  "witness": null,\n  "witness_residual": null\n}')
-
-
-@lru_cache(maxsize=1 << (STRATA_BOUND + 2))
-def _json_piece(field) -> str:
-    """The JSON text of a candidate's support, stabilizer or status at the
-    indent of its keys, made once for each distinct value (the cache has
-    room for all of a system's supports and stabilizers)."""
-    if isinstance(field, frozenset):
-        field = sorted(field)
-    elif isinstance(field, StabilizerInfo):
-        field = field.to_json()
-    return json.dumps(field, sort_keys=True, indent=2).replace("\n", "\n  ")
 
 
 def _doubled_support(n: int, sx, sz) -> set[int]:

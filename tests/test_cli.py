@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 jsonschema = pytest.importorskip("jsonschema")
 
-from hkquot import WeightSystem, exactlin, git_stability
+from hkquot import WeightSystem, cli, exactlin, git_stability
 from hkquot.cli import RunConfig, _numeric_scalar, cmd_analyze, main, render
 from hkquot.rep_core import weight_system_to_json
 from hkquot.scalars import parse_rational
@@ -438,7 +438,7 @@ def test_analyze_renders_as_its_plain_payload():
     assert shapes == {"finite", "trivial", "subtorus", "finite order"}
 
 
-def test_json_render_of_certified_and_replaced_candidates(hirzebruch1):
+def test_json_render_of_certified_and_replaced_candidates(hirzebruch1, monkeypatch):
     cands = hk_candidate_strata(hirzebruch1)
     bare = next(c for c in cands if c.support_x == {0, 1, 2} and 3 in c.support_z)
     done = certify_stratum(hirzebruch1, bare, seed=1)
@@ -465,10 +465,15 @@ def test_json_render_of_certified_and_replaced_candidates(hirzebruch1):
     ]
     docs = [c.to_json() for c in candidates]
     assert {type(d) for d in docs} == {dict}
-    texts = [c.bare_json() for c in candidates]
-    assert [t is not None for t in texts] == [True, False, False, False, True, True]
-    for c, doc, text in zip(candidates, docs, texts):
-        assert text in (None, json.dumps(doc, sort_keys=True, indent=2))
+    # only a candidate with a witness, a residual or a log is written from
+    # its to_json(); the bare ones are joined from their fields' texts
+    with_dict = []
+    to_json = HKStratumCandidate.to_json
+    monkeypatch.setattr(HKStratumCandidate, "to_json", lambda c: with_dict.append(c) or to_json(c))
+    texts = [render(c, "json") for c in candidates]
+    assert [any(d is c for d in with_dict) for c in candidates] == [False, True, True, True, False, False]
+    for doc, text in zip(docs, texts):
+        assert text == json.dumps(doc, sort_keys=True, indent=2)
     nested = [
         (candidates[0], docs[0]),
         (candidates, docs),
@@ -491,6 +496,45 @@ def test_json_render_of_analyze_builds_no_candidate_dicts(monkeypatch):
     assert json.loads(text)["hk_candidates"] == [to_json(c) for c in payload["hk_candidates"]]
     render(payload, "csv")
     assert calls == payload["hk_candidates"]
+
+
+def _draw_8_2() -> str:
+    """A random (8, 2) system: default_rng(0), weights in [-3, 3], theta
+    in +-{1/2, 1, 3/2}."""
+    rng = np.random.default_rng(0)
+    weights = rng.integers(-3, 4, size=(8, 2)).tolist()
+    theta = [f"{int(s)}/2" for s in rng.choice([-3, -2, -1, 1, 2, 3], size=2)]
+    return json.dumps({"rank": 2, "weights": weights, "theta": theta})
+
+
+def test_main_streams_json_without_render(capsys, monkeypatch):
+    # main writes the JSON as it is made, never holding the whole text;
+    # every format prints what render gives, plus a newline
+    systems = [
+        json.dumps({"rank": 2, "weights": [[1, 0], [1, 0], [0, 1], [-n, 1]], "theta": ["1/2", "1/2"]})
+        for n in (1, 2, 3)
+    ] + [_draw_8_2()]
+    real_render = render
+
+    def render_no_json(payload, fmt):
+        if fmt == "json":
+            raise AssertionError("main rendered the whole JSON text")
+        return real_render(payload, fmt)
+
+    monkeypatch.setattr(cli, "render", render_no_json)
+    for weights in systems:
+        payload = cmd_analyze(RunConfig(), weights)
+        for fmt in ("json", "table", "csv"):
+            code, out, err = run(capsys, "--format", fmt, "analyze", weights)
+            assert (code, err) == (0, "")
+            assert out == real_render(payload, fmt) + "\n", fmt
+
+
+@pytest.mark.parametrize("pairs", ["[1]", "[[1]]", '{"a": [[1], [2]]}', "[[1, 2]]", "[[[1], [2], [3]]]", "[[[1], [2]], 7]"])
+def test_metric_rejects_malformed_pairs(capsys, pairs):
+    code, out, err = run(capsys, "--mode", "numeric", "metric", DIAG2, "[1, 0]", "--pairs", pairs)
+    assert code == 2 and out == ""
+    assert err.startswith("invalid tangent pairs: ")
 
 
 def test_csv_and_table_render(capsys):

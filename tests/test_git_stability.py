@@ -34,7 +34,7 @@ from hkquot import (
     unstable_maximal_supports,
 )
 from hkquot import exactlin, git_stability
-from hkquot.cli import RunConfig, cmd_analyze
+from hkquot.cli import RunConfig, cmd_analyze, render
 from hkquot.git_stability import (
     STABLE,
     STRICTLY_SEMISTABLE,
@@ -651,8 +651,21 @@ def test_chamber_walk_matches_dfs_oracle_on_degenerate_systems(ws):
     # system; the cotangent family read off ws's cell table is the doubled
     # system's own
     dws = doubled_weights(ws)
-    for target in (ws, dws):
-        assert unstable_maximal_supports(target) == dfs_unstable_supports(target)
+    solved: dict = {}
+
+    def memo_lp(*args):
+        # lp_maximize is deterministic, and the oracle asks many of the
+        # same LPs on ws and its cotangent system: solve each once
+        key = repr(args)
+        if key not in solved:
+            solved[key] = exactlin.lp_maximize(*args)
+        return solved[key]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracles, "lp_maximize", memo_lp)
+        want = [dfs_unstable_supports(target) for target in (ws, dws)]
+    for target, supports in zip((ws, dws), want):
+        assert unstable_maximal_supports(target) == supports
     assert cotangent_unstable_supports(ws) == unstable_maximal_supports(dws)
 
 
@@ -700,11 +713,11 @@ def test_hol_consistency_matches_kernel_cover_oracle(ws):
 def test_hk_candidates_match_per_pair_oracle(ws):
     # the candidates read off the cell table, the weight cocircuits and one
     # Smith form per lattice are the per-pair filter over all 4^n pairs,
-    # in the same order; a bare candidate's text is json.dumps of its dict
+    # in the same order; each candidate's JSON text is json.dumps of its dict
     cands = hk_candidate_strata(ws)
     assert cands == brute_hk_candidates(ws), ws
     for c in cands:
-        assert c.bare_json() == json.dumps(c.to_json(), sort_keys=True, indent=2)
+        assert render(c, "json") == json.dumps(c.to_json(), sort_keys=True, indent=2)
 
 
 def weight_classes(ws: WeightSystem, S) -> frozenset:
