@@ -3,8 +3,9 @@
 Subcommands: analyze, classify, kn, metric, hirzebruch.  All output is
 deterministic for a fixed configuration and seed; JSON payloads carry
 "schema": 1 and validate against the documents shipped in
-hkquot/schemas/.  Exit codes: 0 success, 2 precondition or parse error,
-3 assertion failure, 4 undecided.
+hkquot/schemas/.  Every format (json, csv, table) is written as it is
+made, never held whole.  Exit codes: 0 success, 2 precondition or parse
+error, 3 assertion failure, 4 undecided, 141 stdout closed by its reader.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import argparse
 import io
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
@@ -57,7 +59,6 @@ from .scalars import parse_rational
 from .strata_examples import (
     STRATA_BOUND,
     HKStratumCandidate,
-    hirzebruch_report_text,
     hirzebruch_suite,
     hk_candidate_strata,
 )
@@ -66,6 +67,7 @@ EXIT_OK = 0
 EXIT_PRECONDITION = 2
 EXIT_ASSERTION = 3
 EXIT_UNDECIDED = 4
+EXIT_PIPE = 141  # 128 + SIGPIPE, as a shell reports `yes | head`
 
 
 @dataclass(frozen=True)
@@ -265,17 +267,18 @@ def cmd_hirzebruch(cfg: RunConfig, n: int, c0: str, c1: str) -> dict:
 # rendering
 
 
-def _flatten(prefix: str, value, rows: list):
+def _flatten(prefix: str, value, emit) -> None:
+    """Call emit(key, leaf) for each scalar leaf of value, in key order."""
     if isinstance(value, HKStratumCandidate):
         value = value.to_json()
     if isinstance(value, dict):
         for key in sorted(value):
-            _flatten(f"{prefix}.{key}" if prefix else str(key), value[key], rows)
-    elif isinstance(value, list):
+            _flatten(f"{prefix}.{key}" if prefix else str(key), value[key], emit)
+    elif isinstance(value, (list, tuple)):
         for i, item in enumerate(value):
-            _flatten(f"{prefix}[{i}]", item, rows)
+            _flatten(f"{prefix}[{i}]", item, emit)
     else:
-        rows.append((prefix, json.dumps(value)))
+        emit(prefix, value)
 
 
 def _float_json(f: float) -> str:
@@ -299,9 +302,9 @@ _SCALAR_JSON = {
 }
 
 
-def _scalar_json(o) -> Optional[str]:
+def _scalar_json(o) -> str:
     """The JSON text of a scalar of any type, subclasses included (json's
-    isinstance order), or None for anything else."""
+    isinstance order); TypeError for anything else, as json raises."""
     f = _SCALAR_JSON.get(type(o))
     if f is not None:
         return f(o)
@@ -311,14 +314,7 @@ def _scalar_json(o) -> Optional[str]:
         return int.__repr__(o)
     if isinstance(o, float):
         return _float_json(o)
-    return None
-
-
-def _key_json(key) -> str:
-    text = _scalar_json(key)
-    if text is None:
-        raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
-    return text if isinstance(key, str) else '"' + text + '"'
+    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
 
 
 def _write_json(o, nl: str, write) -> None:
@@ -350,7 +346,7 @@ def _write_json(o, nl: str, write) -> None:
         inner = nl + "  "
         head, sep = "{" + inner, "," + inner
         for key, value in sorted(o.items()):
-            key = encode_basestring_ascii(key) if type(key) is str else _key_json(key)
+            key = _scalar_json(key) if isinstance(key, str) else '"' + _scalar_json(key) + '"'
             f = _SCALAR_JSON.get(type(value))
             if f is not None:
                 write(head + key + ": " + f(value))
@@ -384,16 +380,7 @@ def _write_json(o, nl: str, write) -> None:
             head = sep
         write(nl + "]")
     else:
-        text = _scalar_json(o)
-        if text is None:
-            raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
-        write(text)
-
-
-def _json_text(o, nl: str = "\n") -> str:
-    buf = io.StringIO()
-    _write_json(o, nl, buf.write)
-    return buf.getvalue()
+        write(_scalar_json(o))
 
 
 @lru_cache(maxsize=1 << (STRATA_BOUND + 2))
@@ -405,7 +392,9 @@ def _field_json(field, nl: str) -> str:
         field = sorted(field)
     elif isinstance(field, StabilizerInfo):
         field = field.to_json()
-    return _json_text(field, nl)
+    buf = io.StringIO()
+    _write_json(field, nl, buf.write)
+    return buf.getvalue()
 
 
 def _write_candidate(c: HKStratumCandidate, nl: str, write) -> None:
@@ -420,22 +409,52 @@ def _write_candidate(c: HKStratumCandidate, nl: str, write) -> None:
           f'{i}"witness": null,{i}"witness_residual": null{nl}}}')
 
 
-def render(payload: dict, fmt: str) -> str:
+def hirzebruch_report_text(report: dict) -> str:
+    """Human-readable PASS/FAIL table with expected-vs-actual on failures."""
+    lines = [f"Hirzebruch suite n={report['n']} c0={report['c0']} c1={report['c1']}"]
+    for a in report["assertions"]:
+        mark = "PASS" if a["passed"] else "FAIL"
+        lines.append(f"  [{mark}] {a['name']}")
+        if not a["passed"]:
+            lines.append(f"    expected: {a['expected']}")
+            lines.append(f"    actual:   {a['actual']}")
+    lines.append("result: " + ("PASS" if report["passed"] else "FAIL"))
+    return "\n".join(lines)
+
+
+def _write(payload: dict, fmt: str, write) -> None:
+    """Write payload as fmt to `write` in pieces: csv and table rows are a
+    leaf's path and JSON text, the table's keys padded to the longest."""
     if fmt == "json":
         # the text of json.dumps(payload, sort_keys=True, indent=2)
-        return _json_text(payload)
-    if payload.get("command") == "hirzebruch" and fmt == "table":
-        return hirzebruch_report_text(payload)
-    rows: list[tuple[str, str]] = []
-    _flatten("", payload, rows)
-    if fmt == "csv":
-        lines = ["key,value"]
-        for key, val in rows:
-            quoted = '"' + val.replace('"', '""') + '"'
-            lines.append(f"{key},{quoted}")
-        return "\n".join(lines)
-    width = max(len(k) for k, _ in rows) if rows else 0
-    return "\n".join(f"{key.ljust(width)}  {val}" for key, val in rows)
+        _write_json(payload, "\n", write)
+    elif fmt == "table" and payload.get("command") == "hirzebruch":
+        write(hirzebruch_report_text(payload))
+    elif fmt == "csv":
+        write("key,value")
+        _flatten("", payload, lambda key, leaf: write(
+            "\n" + key + ',"' + _scalar_json(leaf).replace('"', '""') + '"'))
+    else:
+        width, head = 0, ""
+
+        def widen(key, _):
+            nonlocal width
+            if len(key) > width:
+                width = len(key)
+
+        def row(key, leaf):
+            nonlocal head
+            write(head + key.ljust(width) + "  " + _scalar_json(leaf))
+            head = "\n"
+
+        _flatten("", payload, widen)
+        _flatten("", payload, row)
+
+
+def render(payload: dict, fmt: str) -> str:
+    buf = io.StringIO()
+    _write(payload, fmt, buf.write)
+    return buf.getvalue()
 
 
 # ---------------------------------------------------------------------------
@@ -510,13 +529,13 @@ def main(argv: Optional[list[str]] = None) -> int:
     except UndecidedError as exc:
         print(f"undecided: {exc}", file=sys.stderr)
         return EXIT_UNDECIDED
-    if cfg.fmt == "json":
-        # written as it is made, so that the text is never held whole
-        write = sys.stdout.write
-        _write_json(payload, "\n", write)
-        write("\n")
-    else:
-        print(render(payload, cfg.fmt))
+    try:
+        _write(payload, cfg.fmt, sys.stdout.write)
+        print(flush=True)
+    except BrokenPipeError:
+        # on devnull, the interpreter's flush at exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
     if payload.get("command") == "hirzebruch" and not payload.get("passed", False):
         return EXIT_ASSERTION
     return EXIT_OK

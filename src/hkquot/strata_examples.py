@@ -432,16 +432,3 @@ def hirzebruch_suite(n: int, c0=1, c1=1, seed: int = 0) -> dict:
         "passed": all(a["passed"] for a in assertions),
         "assertions": assertions,
     }
-
-
-def hirzebruch_report_text(report: dict) -> str:
-    """Human-readable PASS/FAIL table with expected-vs-actual on failures."""
-    lines = [f"Hirzebruch suite n={report['n']} c0={report['c0']} c1={report['c1']}"]
-    for a in report["assertions"]:
-        mark = "PASS" if a["passed"] else "FAIL"
-        lines.append(f"  [{mark}] {a['name']}")
-        if not a["passed"]:
-            lines.append(f"    expected: {a['expected']}")
-            lines.append(f"    actual:   {a['actual']}")
-    lines.append("result: " + ("PASS" if report["passed"] else "FAIL"))
-    return "\n".join(lines)

@@ -1,5 +1,6 @@
 """End-to-end command-line behavior: exit codes, payloads, determinism."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -507,27 +508,77 @@ def _draw_8_2() -> str:
     return json.dumps({"rank": 2, "weights": weights, "theta": theta})
 
 
-def test_main_streams_json_without_render(capsys, monkeypatch):
-    # main writes the JSON as it is made, never holding the whole text;
-    # every format prints what render gives, plus a newline
+#: sha256 of `hkquot --format <fmt> analyze` on the (8, 2) draw
+DRAW_8_2_DIGESTS = {
+    "json": "aa915591d5fdf2f47d1054aaf83ac215ebd66e4ca1ff1444e91c7616ab3917b3",
+    "csv": "6f2cf5e6b69bcc6192d46e1e7fb690492579a003ad49dc43971c571b53485327",
+    "table": "bfab4a38f433bdd1126ede20c904e2679107cbe2a9e0611551fc53c6667a8a15",
+}
+
+
+def test_main_streams_every_format_without_render(capsys, monkeypatch):
+    # main writes every format as it is made, never holding the whole
+    # text, and prints what render gives, plus a newline; the (8, 2)
+    # draw's bytes are pinned
+    draw = _draw_8_2()
     systems = [
         json.dumps({"rank": 2, "weights": [[1, 0], [1, 0], [0, 1], [-n, 1]], "theta": ["1/2", "1/2"]})
         for n in (1, 2, 3)
-    ] + [_draw_8_2()]
+    ] + [draw]
     real_render = render
 
-    def render_no_json(payload, fmt):
-        if fmt == "json":
-            raise AssertionError("main rendered the whole JSON text")
-        return real_render(payload, fmt)
+    def no_render(payload, fmt):
+        raise AssertionError(f"main rendered the whole {fmt} text")
 
-    monkeypatch.setattr(cli, "render", render_no_json)
+    monkeypatch.setattr(cli, "render", no_render)
     for weights in systems:
         payload = cmd_analyze(RunConfig(), weights)
         for fmt in ("json", "table", "csv"):
             code, out, err = run(capsys, "--format", fmt, "analyze", weights)
             assert (code, err) == (0, "")
             assert out == real_render(payload, fmt) + "\n", fmt
+            if weights == draw:
+                assert hashlib.sha256(out.encode()).hexdigest() == DRAW_8_2_DIGESTS[fmt], fmt
+
+
+#: `hkquot` in a fresh interpreter; `_child_env` makes it import this checkout
+MAIN = "import sys; from hkquot.cli import main; sys.exit(main(sys.argv[1:]))"
+
+
+def _child_env() -> dict:
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "table"])
+def test_closed_stdout_exits_141_quietly(fmt):
+    # the reader takes 100 bytes of about 10 MB and leaves, as `| head` does
+    argv = [sys.executable, "-c", MAIN, "--format", fmt, "analyze", _draw_8_2()]
+    proc = subprocess.Popen(argv, env=_child_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert len(proc.stdout.read(100)) == 100
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=300)
+    assert (proc.returncode, err) == (141, b"")
+
+
+#: runs argv and prints its peak RSS in KiB; a forked child's ru_maxrss
+#: counts the RSS of the process it was forked from, so the run is started
+#: from this small interpreter, not from the test process
+PEAK_RSS = (
+    "import resource, subprocess, sys; subprocess.run(sys.argv[1:], stdout=subprocess.DEVNULL, check=True); "
+    "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)"
+)
+
+
+def test_csv_and_table_peak_memory_is_the_json_peak():
+    # no format holds its text or its rows: the peak RSS of csv and of
+    # table is within 30 MB of the streamed JSON's
+    peak = {}
+    for fmt in ("json", "csv", "table"):
+        argv = [sys.executable, "-c", PEAK_RSS, sys.executable, "-c", MAIN, "--format", fmt, "analyze", _draw_8_2()]
+        out = subprocess.run(argv, env=_child_env(), capture_output=True, text=True, check=True, timeout=300).stdout
+        peak[fmt] = int(out) / 1024  # KiB on Linux
+    assert max(peak["csv"], peak["table"]) <= peak["json"] + 30, peak
 
 
 @pytest.mark.parametrize("pairs", ["[1]", "[[1]]", '{"a": [[1], [2]]}', "[[1, 2]]", "[[[1], [2], [3]]]", "[[[1], [2]], 7]"])
@@ -573,7 +624,5 @@ def test_version_metadata_is_imported_lazily():
         "assert isinstance(hkquot.__version__, str)\n"
         "assert 'importlib.metadata' in sys.modules\n"
     )
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    proc = subprocess.run([sys.executable, "-c", code], env=_child_env(), capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr

@@ -18,13 +18,13 @@ from hkquot import (
     support,
 )
 from hkquot import git_stability, strata_examples
+from hkquot.cli import hirzebruch_report_text
 from hkquot.strata_examples import (
     CANDIDATE,
     CERTIFIED,
     TABLE_BASE,
     TABLE_COTANGENT,
     certify_stratum,
-    hirzebruch_report_text,
     hirzebruch_suite,
     hirzebruch_weight_system,
     hk_candidate_strata,
