@@ -27,16 +27,15 @@ certificate (LP duality; Farkas 1902):
 
 The loci are enumerated from one table of sign cells per system
 (`_cells`), with no LP: the sign vectors of the arrangement {beta^i(xi) =
-0} inside {<theta, xi> < 0}, which are the theta-negative covectors of
-(the distinct lines R beta^i, theta).  Every covector is a composition of
+0} inside {<theta, xi> < 0}.  Every covector is a composition of
 cocircuits (Bjorner, Las Vergnas, Sturmfels, White and Ziegler, Oriented
-Matroids, 1993), so the table takes the cocircuits once
-(`exactlin.cocircuits`) and closes the theta-negative ones under
-composition, on bitmask pairs, each cell with an integral witness.  The
-cotangent system has the same lines and theta, so the same cells, and
-the semistable supports are the complement of the unstable ones.  One
-support alone is decided by Farkas on the cocircuits of (beta_S, theta),
-and compactness by Gordan's alternative on those of the weights.
+Matroids, 1993), so the table takes the cocircuits of (the weights,
+theta) directly (`exactlin.cocircuits`) and closes the theta-negative
+ones under composition, on bitmask pairs.  The cotangent system has the
+same hyperplanes and theta, so the same cells, and the semistable
+supports are the complement of the unstable ones.  One support alone is
+decided by Farkas on the cocircuits of (beta_S, theta), and compactness
+by Gordan's alternative on those of the weights.
 """
 
 from __future__ import annotations
@@ -168,9 +167,9 @@ def semistable_support(ws: WeightSystem, S: Iterable[int]) -> bool:
     theta) is negative on theta and nowhere else.  theta = 0 is in every
     cone.  The cost depends on |S|, not on the whole arrangement.
     """
+    vecs = [ws.weights[checked_index(ws, i)] for i in sorted(set(S))]
     if not any(ws.theta):
         return True
-    vecs = [ws.weights[i] for i in sorted(set(S))]
     t = 1 << len(vecs)
     vecs.append(integer_primitive(ws.theta))
     return all(neg != t for (_, neg), _ in cocircuits(vecs, ws.rank))
@@ -220,12 +219,16 @@ def _cone_membership_lp(ws: WeightSystem, idx: list[int]):
     return status, value, y[-ws.rank:]
 
 
+def checked_index(ws: WeightSystem, i: int) -> int:
+    """i, if it indexes a coordinate of ws; refused otherwise."""
+    if not 0 <= i < ws.n:
+        raise DimensionMismatchError(f"support index {i} out of range")
+    return i
+
+
 def classify_support(ws: WeightSystem, S: Iterable[int]) -> StabilityVerdict:
     """Stability of any point whose support is exactly S."""
-    idx = sorted(set(S))
-    for i in idx:
-        if not 0 <= i < ws.n:
-            raise DimensionMismatchError(f"support index {i} out of range")
+    idx = sorted({checked_index(ws, i) for i in S})
     return _classify_support_cached(_shared(ws), tuple(idx))
 
 
@@ -317,9 +320,9 @@ def cotangent_unstable_supports(
 ) -> list[frozenset]:
     """`unstable_maximal_supports(doubled_weights(ws))`, read off ws's cells.
 
-    The doubled weights (beta, -beta) have the lines and theta of ws, so
-    the same cells, and the fiber coordinate n + i has -beta^i(xi) >= 0
-    iff i is outside the cell's > 0 mask.
+    The doubled weights (beta, -beta) vanish on the same hyperplanes as
+    ws's, so they have the same cells, and the fiber coordinate n + i has
+    -beta^i(xi) >= 0 iff i is outside the cell's > 0 mask.
     """
     check_bound(2 * ws.n, bound)
     return _destabilized(_cotangent_cells(ws), 2 * ws.n)
@@ -336,82 +339,32 @@ def _cotangent_cells(ws: WeightSystem) -> Iterator[int]:
 def _cells(ws: WeightSystem) -> tuple[tuple[int, int], ...]:
     """The cell table: one pair of index masks ({i : beta^i(xi) >= 0},
     {i : beta^i(xi) > 0}) per sign cell xi of the arrangement inside
-    {<theta, xi> < 0}.
+    {<theta, xi> < 0}, that is per theta-negative covector of (the
+    weights, theta), theta scaled to ints last.  It decides both loci of
+    ws and of its cotangent system; the memo holds one system.
 
-    The cells are the theta-negative covectors of the distinct lines R
-    beta^i and theta (`_unstable_covectors`); each coordinate sits on the
-    + or - side of its line, and a zero weight is >= 0 and not > 0 in
-    every cell.  The table decides both loci of ws and of its cotangent
-    system.  The memo holds one system.
+    The closure composes the theta-negative cocircuits with every
+    cocircuit Y, X o Y = (Xp | Yp & ~Xn, Xn | Yn & ~Xp), which yields
+    covectors only and keeps X's sign on theta; and every covector is the
+    composition of the cocircuits conformal to it (conformal
+    decomposition), one of them negative on theta when it is, so every
+    cell is reached.  A zero weight is a loop, in no cocircuit: >= 0 and
+    not > 0 in every cell.  theta = 0 realizes nothing.
     """
-    # Group coordinates by the line R beta^i, a canonical primitive
-    # direction, into the masks of the indices on its + and - side.
-    lines: dict[tuple[int, ...], list[int]] = {}
-    for i, w in enumerate(ws.weights):
-        if any(w):
-            prim = integer_primitive(w)
-            side = 0 if next(v for v in prim if v) > 0 else 1
-            if side:
-                prim = [-v for v in prim]
-            lines.setdefault(tuple(prim), [0, 0])[side] |= 1 << i
-    dirs = tuple(sorted(lines))
-    sides = [lines[q] for q in dirs]
-
-    full = (1 << ws.n) - 1
-    cells = []
-    for pos, neg, _ in _unstable_covectors(dirs, ws.theta):
-        # i is > 0 on the + side of a line with q . xi > 0 or the - side of
-        # one with q . xi < 0, and < 0 on the other side of either
-        up = down = 0
-        for j, (plus, minus) in enumerate(sides):
-            if pos >> j & 1:
-                up, down = up | plus, down | minus
-            elif neg >> j & 1:
-                up, down = up | minus, down | plus
-        cells.append((full & ~down, up))
-    return tuple(cells)
-
-
-def _unstable_covectors(
-    dirs: tuple[tuple[int, ...], ...], theta: tuple[Fraction, ...]
-) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
-    """The sign cells of the lines `dirs` realized inside {<theta, xi> < 0}.
-
-    Returns (pos, neg, xi) per cell: pos and neg are the bitmasks of the
-    lines q with q . xi > 0 and q . xi < 0, and xi is a primitive integral
-    witness with those signs and <theta, xi> < 0.
-
-    The cells are the covectors of the configuration (dirs, theta), theta
-    scaled to ints as the last vector, that are negative on theta.  The
-    closure starts from the cocircuits negative on theta and composes
-    with every cocircuit Y: X o Y = (Xp | Yp & ~Xn, Xn | Yn & ~Xp).  A
-    composition of covectors is a covector and keeps X's sign on theta,
-    so nothing else is reached; and every covector X is the composition
-    of the cocircuits conformal to it (conformal decomposition), one of
-    which is negative on theta when X is, so every cell is reached.  With
-    x the witness of X and y that of Y, z = M x + y with M = 1 + max |v .
-    y| over the vectors v has the signs of X where v . x != 0 and those
-    of Y elsewhere: the witness of X o Y, made primitive.  theta = 0
-    realizes nothing.
-    """
-    if not any(theta):
+    if not any(ws.theta):
         return ()
-    vecs = list(dirs) + [integer_primitive(theta)]
-    t = 1 << len(dirs)
-    circuits = [
-        (pos, neg, y, 1 + max(abs(sum(a * b for a, b in zip(v, y))) for v in vecs))
-        for (pos, neg), y in cocircuits(vecs, len(theta))
-    ]
-    seen = {(pos, neg): y for pos, neg, y, _ in circuits if neg & t}
-    queue = list(seen)
+    vecs = list(ws.weights) + [integer_primitive(ws.theta)]
+    circuits = [signs for signs, _ in cocircuits(vecs, ws.rank)]
+    t = 1 << ws.n
+    queue = [(pos, neg) for pos, neg in circuits if neg & t]
+    seen = set(queue)
     for xp, xn in queue:
-        x = seen[xp, xn]
-        for yp, yn, y, big in circuits:
+        for yp, yn in circuits:
             z = (xp | yp & ~xn, xn | yn & ~xp)
             if z not in seen:
-                seen[z] = integer_primitive([big * a + b for a, b in zip(x, y)])
+                seen.add(z)
                 queue.append(z)
-    return tuple((pos, neg & ~t, tuple(xi)) for (pos, neg), xi in seen.items())
+    return tuple(((t - 1) & ~neg, pos) for pos, neg in queue)
 
 
 def stabilizer(ws: WeightSystem, S: Iterable[int]) -> StabilizerInfo:
@@ -421,7 +374,7 @@ def stabilizer(ws: WeightSystem, S: Iterable[int]) -> StabilizerInfo:
     bits, rows, memo = _lattice_classes(ws)
     key = 0
     for i in S:
-        key |= bits[i]
+        key |= bits[checked_index(ws, i)]
     if key not in memo:
         factors = smith_invariant_factors([w for j, w in enumerate(rows) if key >> j & 1])
         memo[key] = StabilizerInfo(ws.rank - len(factors), tuple(d for d in factors if d > 1))
@@ -520,15 +473,12 @@ def weight_cocircuits(ws: WeightSystem) -> tuple[tuple[int, int], ...]:
 
 def kahler_strata(ws: WeightSystem, bound: int = DEFAULT_BOUND) -> list[StratumRecord]:
     """Semistable supports grouped by stabilizer, each group in the
-    lexicographic order of `semistable_supports`.
-
-    The trivial-stabilizer group (when present) is the open stratum and
-    sorts first; remaining groups follow by signature.
-    """
+    lexicographic order of `semistable_supports`, and the groups by
+    signature: the trivial one, the open stratum, first when present."""
     groups: dict[StabilizerInfo, list[frozenset]] = {}
     for S in semistable_supports(ws, bound):
         groups.setdefault(stabilizer(ws, S), []).append(S)
     return [
         StratumRecord(stabilizer=info, supports=tuple(groups[info]), is_open=info.is_trivial)
-        for info in sorted(groups, key=lambda info: (not info.is_trivial, info.signature))
+        for info in sorted(groups, key=lambda info: info.signature)
     ]

@@ -9,7 +9,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -24,7 +24,7 @@ from hkquot import (
     semistable_supports,
     stabilizer,
 )
-from hkquot.exactlin import integer_primitive, lp_maximize
+from hkquot.exactlin import cocircuits, integer_primitive, lp_maximize
 from hkquot.strata_examples import HKStratumCandidate
 
 BOX = 10
@@ -272,6 +272,66 @@ def dfs_unstable_supports(ws: WeightSystem) -> list[frozenset]:
     if nonempty:
         return nonempty
     return sorted(found, key=sorted)
+
+
+class LineCells(NamedTuple):
+    dirs: tuple  # the distinct lines R beta^i, as canonical primitive directions
+    covectors: tuple  # (pos, neg, xi) per cell: line sign masks and a witness
+    cells: tuple  # ({i : beta^i(xi) >= 0}, {i : beta^i(xi) > 0}) per cell
+
+
+def line_cells(ws: WeightSystem) -> LineCells:
+    """The sign cells of ws inside {<theta, xi> < 0}, closed on the lines.
+
+    The coordinates are grouped by the line R beta^i, each on its + or -
+    side; the theta-negative covectors of (the lines, theta) are closed
+    under composition from the theta-negative cocircuits, each with an
+    exact witness; and each covector is mapped back to coordinate masks,
+    a zero weight >= 0 and not > 0 in every cell.  With x the witness of
+    X and y that of the cocircuit Y, z = M x + y with M = 1 + max |v . y|
+    over the vectors v has the signs of X where v . x != 0 and those of Y
+    elsewhere: the witness of X o Y, made primitive.  theta = 0 realizes
+    nothing.
+    """
+    lines: dict[tuple[int, ...], list[int]] = {}
+    for i, w in enumerate(ws.weights):
+        if any(w):
+            prim = integer_primitive(w)
+            side = 0 if next(v for v in prim if v) > 0 else 1
+            if side:
+                prim = [-v for v in prim]
+            lines.setdefault(tuple(prim), [0, 0])[side] |= 1 << i
+    dirs = tuple(sorted(lines))
+    if not any(ws.theta):
+        return LineCells(dirs, (), ())
+    vecs = list(dirs) + [integer_primitive(ws.theta)]
+    t = 1 << len(dirs)
+    circuits = [
+        (pos, neg, y, 1 + max(abs(sum(a * b for a, b in zip(v, y))) for v in vecs))
+        for (pos, neg), y in cocircuits(vecs, ws.rank)
+    ]
+    seen = {(pos, neg): y for pos, neg, y, _ in circuits if neg & t}
+    queue = list(seen)
+    for xp, xn in queue:
+        x = seen[xp, xn]
+        for yp, yn, y, big in circuits:
+            z = (xp | yp & ~xn, xn | yn & ~xp)
+            if z not in seen:
+                seen[z] = integer_primitive([big * a + b for a, b in zip(x, y)])
+                queue.append(z)
+    covectors = tuple((pos, neg & ~t, tuple(xi)) for (pos, neg), xi in seen.items())
+    full = (1 << ws.n) - 1
+    cells = []
+    for pos, neg, _ in covectors:
+        up = down = 0
+        for j, q in enumerate(dirs):
+            plus, minus = lines[q]
+            if pos >> j & 1:
+                up, down = up | plus, down | minus
+            elif neg >> j & 1:
+                up, down = up | minus, down | plus
+        cells.append((full & ~down, up))
+    return LineCells(dirs, covectors, tuple(cells))
 
 
 def mgs_frame(gauge_raw: np.ndarray, n: int):

@@ -20,7 +20,8 @@ from hkquot.exactlin import (
     matrix_rank,
     smith_invariant_factors,
 )
-from hkquot.git_stability import _unstable_covectors
+from hkquot.git_stability import _cells
+from hkquot.rep_core import WeightSystem
 
 from oracles import fraction_rref
 
@@ -274,15 +275,20 @@ def test_cocircuit_closure_matches_lp_oracle(config):
         zero_sets[(1 << (m + 1)) - 1 & ~(pos | neg)] += 1
     assert zero_sets == hyperplanes
 
-    # the closure: each cell's witness is an exact point with the cell's
-    # signs and <theta, y> < 0; every other sign vector has a first prefix
-    # that no cell extends, and there the LP must find no such point
-    cells = {}
-    for pos, neg, xi in _unstable_covectors(tuple(map(tuple, vecs)), tuple(map(F, theta))):
-        assert all(type(v) is int for v in xi) and math.gcd(*xi) == 1
-        assert sign_masks(vecs, xi) == (pos, neg)
-        assert sum(a * b for a, b in zip(theta, xi)) < 0
-        cells[pos, neg] = xi
+    def realized(pos, neg, j) -> bool:
+        # some y has the signs (pos, neg) on vecs[:j] and <theta, y> < 0
+        signed = [v if pos >> i & 1 else [-a for a in v]
+                  for i, v in enumerate(vecs[:j]) if (pos | neg) >> i & 1]
+        eq = [v for i, v in enumerate(vecs[:j]) if not (pos | neg) >> i & 1]
+        return lp_open_cone_feasible(signed + [[-a for a in theta]], eq)
+
+    # the closure: each cell is realized; every other sign vector has a
+    # first prefix that no cell extends, and there the LP must find no
+    # point with its signs
+    cells = [(pos, (1 << m) - 1 & ~nonneg) for nonneg, pos in _cells(WeightSystem(d, vecs, theta))]
+    assert len(set(cells)) == len(cells)
+    for pos, neg in cells:
+        assert realized(pos, neg, m), (pos, neg)
     prefixes = {(pos & (1 << j) - 1, neg & (1 << j) - 1, j)
                 for pos, neg in cells for j in range(m + 1)}
     stack = [(0, 0, 0)]
@@ -292,10 +298,7 @@ def test_cocircuit_closure_matches_lp_oracle(config):
             if j < m:
                 stack += [(pos | 1 << j, neg, j + 1), (pos, neg, j + 1), (pos, neg | 1 << j, j + 1)]
             continue
-        signed = [v if pos >> i & 1 else [-a for a in v]
-                  for i, v in enumerate(vecs[:j]) if (pos | neg) >> i & 1]
-        eq = [v for i, v in enumerate(vecs[:j]) if not (pos | neg) >> i & 1]
-        assert not lp_open_cone_feasible(signed + [[-a for a in theta]], eq), (pos, neg, j)
+        assert not realized(pos, neg, j), (pos, neg, j)
 
 
 @st.composite

@@ -54,6 +54,7 @@ from oracles import (
     brute_hk_candidates,
     dfs_unstable_supports,
     kernel_cover_hol_consistent,
+    line_cells,
     lp_quotient_compact,
     loop_quotient_smooth,
     lp_semistable_support,
@@ -385,20 +386,18 @@ class WalkRun(NamedTuple):
     want: list  # dfs_unstable_supports of the same two systems
     walk_lps: list  # the LPs of both walk calls
     oracle_lps: list  # the LPs of the oracle on ws alone
-    walks: list  # (dirs, theta, cells) of each `_unstable_covectors` call
+    oracle: list  # line_cells of the same two systems
 
 
 @pytest.fixture(scope="module")
 def walk_runs() -> list[WalkRun]:
-    """The covector closure and the DFS oracle on seeded draws, DEGENERATE
-    and COPLANAR."""
+    """The covector closure, the DFS oracle and the line-closure oracle on
+    seeded draws, DEGENERATE and COPLANAR."""
     rng = np.random.default_rng(17)
     systems = [random_weight_system(rng, nmax=3) for _ in range(200)]
     systems += [random_weight_system(rng, nmax=6) for _ in range(12)]
     solved: dict = {}
     log: list = []
-    walks: list = []
-    walk = git_stability._unstable_covectors
 
     def memo_lp(*args):
         # lp_maximize is deterministic, and the oracle asks many of the
@@ -409,19 +408,13 @@ def walk_runs() -> list[WalkRun]:
             solved[key] = exactlin.lp_maximize(*args)
         return solved[key]
 
-    def recording(dirs, theta):
-        walks.append((dirs, theta, walk(dirs, theta)))
-        return walks[-1][2]
-
     runs = []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(git_stability, "lp_maximize", memo_lp)
         mp.setattr(oracles, "lp_maximize", memo_lp)
-        mp.setattr(git_stability, "_unstable_covectors", recording)
         for ws in systems + list(DEGENERATE) + list(COPLANAR):
             git_stability._cells.cache_clear()
             solved.clear()
-            walks.clear()
             pair = (ws, doubled_weights(ws))
             log.clear()
             want = [dfs_unstable_supports(pair[0])]
@@ -430,7 +423,7 @@ def walk_runs() -> list[WalkRun]:
             got = [unstable_maximal_supports(t) for t in pair]
             walk_lps = list(log)
             want.append(dfs_unstable_supports(pair[1]))
-            runs.append(WalkRun(ws, got, want, walk_lps, oracle_lps, list(walks)))
+            runs.append(WalkRun(ws, got, want, walk_lps, oracle_lps, [line_cells(t) for t in pair]))
     git_stability._cells.cache_clear()
     return runs
 
@@ -443,14 +436,16 @@ def test_chamber_walk_matches_dfs_oracle(walk_runs):
 
 
 def test_chamber_walk_witnesses(walk_runs):
-    # every cell carries an exact certificate: its witness is a primitive
-    # integer vector with the cell's signs, pairs negatively with theta,
-    # and destabilizes S(xi)
-    for ws, got, _, _, _, walks in walk_runs:
+    # every cell of the reference closure carries an exact certificate:
+    # its witness is a primitive integer vector with the cell's signs,
+    # pairs negatively with theta, and destabilizes S(xi); and its cells
+    # are the cell table's
+    for ws, got, _, _, _, oracle in walk_runs:
         # the base and the cotangent system share one configuration
-        assert len(walks) == 2 and walks[0] == walks[1]
-        dirs, theta, cells = walks[0]
-        assert theta == ws.theta
+        assert len(oracle) == 2 and oracle[0][:2] == oracle[1][:2]
+        for target, ref in zip((ws, doubled_weights(ws)), oracle):
+            assert set(git_stability._cells(target)) == set(ref.cells), target
+        dirs, cells = oracle[0].dirs, oracle[0].covectors
         assert len({(pos, neg) for pos, neg, _ in cells}) == len(cells)
         for pos, neg, xi in cells:
             assert all(type(v) is int for v in xi)
@@ -472,7 +467,7 @@ def test_chamber_walk_witnesses(walk_runs):
 
 def test_chamber_walk_issues_no_lp(monkeypatch, walk_runs):
     # the closure solves no LP and takes at most one integer kernel per
-    # (r - 1)-subset of its m vectors (the lines and theta, of rank r) plus
+    # (r - 1)-subset of its m vectors (the weights and theta, of rank r) plus
     # one for their lineality space; the cell table holds one system, and
     # the cotangent families read the base system's table
     calls: list = []
@@ -502,9 +497,8 @@ def test_chamber_walk_issues_no_lp(monkeypatch, walk_runs):
         assert run.walk_lps == [], run.ws
         clear_system_memos()
         n_solves = closure_solves(run.ws) + closure_solves(run.ws, cotangent_unstable_supports)
-        dirs, theta, _ = run.walks[0]
-        if any(theta):
-            vecs = list(dirs) + [list(theta)]
+        if any(run.ws.theta):
+            vecs = list(run.ws.weights) + [list(run.ws.theta)]
             r = exactlin.matrix_rank(vecs)
             assert n_solves <= math.comb(len(vecs), r - 1) + 1, run.ws
         else:
@@ -569,11 +563,11 @@ def test_polystable_support_flags():
 
 
 @st.composite
-def small_systems(draw, nmax: int = 5):
-    """Weight systems with n <= nmax and k <= 3 that often hold zero
+def small_systems(draw, nmax: int = 5, kmax: int = 3):
+    """Weight systems with n <= nmax and k <= kmax that often hold zero
     weights, repeated and opposite lines, rank-deficient supports (all
     weights in a hyperplane), theta = 0 or theta on the ray of a weight."""
-    k = draw(st.integers(1, 3))
+    k = draw(st.integers(1, kmax))
     n = draw(st.integers(0, nmax))
     flat = k > 1 and draw(st.integers(0, 3)) == 0
     weights: list[tuple[int, ...]] = []
@@ -667,6 +661,30 @@ def test_chamber_walk_matches_dfs_oracle_on_degenerate_systems(ws):
     for target, supports in zip((ws, dws), want):
         assert unstable_maximal_supports(target) == supports
     assert cotangent_unstable_supports(ws) == unstable_maximal_supports(dws)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.one_of(small_systems(nmax=7, kmax=4), st.sampled_from(DEGENERATE + COPLANAR)))
+def test_cell_table_matches_line_closure_oracle(ws):
+    # the closure over the coordinates against the closure over the
+    # distinct lines, mapped back to coordinates, on ws and its cotangent
+    # system: zero weights, repeated, opposite and scaled lines, theta = 0
+    # and rank-deficient weights
+    for target in (ws, doubled_weights(ws)):
+        cells = git_stability._cells(target)
+        assert len(set(cells)) == len(cells)
+        assert set(cells) == set(line_cells(target).cells), target
+
+
+@pytest.mark.parametrize("check", [semistable_support, stabilizer, classify_support, hol_consistent])
+@pytest.mark.parametrize("index", ["first below", "first above"])
+def test_support_indices_out_of_range_are_refused(hirzebruch1, check, index):
+    # the index is refused, not wrapped (-1 would be coordinate n - 1) nor
+    # ignored
+    i = -1 if index == "first below" else hirzebruch1.n
+    with pytest.raises(DimensionMismatchError, match=f"support index {i} out of range"):
+        check(hirzebruch1, [i])
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None,
