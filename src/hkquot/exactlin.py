@@ -269,16 +269,21 @@ def cocircuits(vecs: Sequence[Sequence[int]], k: int) -> list[tuple[tuple[int, i
     (r - 1)-subset with an integer basis of L stacked under it has a
     one-dimensional integer kernel, and y and -y are its two cocircuits.
     A subset inside a hyperplane already found spans it or is dependent,
-    and is skipped without an elimination.  Rank 0 has no cocircuits.
+    and is skipped without an elimination; the subsets are drawn from the
+    first vector on each line R v, v != 0, alone.  Rank 0 has none.
     """
     lineality = integer_kernel_basis(vecs, k)
     r = k - len(lineality)
     if r == 0:
         return []
+    firsts: dict[tuple[int, ...], int] = {}  # each line R v to its first index
+    for i, v in enumerate(vecs):
+        if g := gcd(*v):  # 0 for a zero vector, which is on no line
+            firsts.setdefault(max(tuple([a // g for a in v]), tuple([-a // g for a in v])), i)
     full = (1 << len(vecs)) - 1
     flats: list[int] = []
     out = []
-    for sub in combinations(range(len(vecs)), r - 1):
+    for sub in combinations(firsts.values(), r - 1):
         mask = sum(1 << i for i in sub)
         if any(not mask & ~flat for flat in flats):
             continue

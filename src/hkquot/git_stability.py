@@ -374,7 +374,7 @@ def stabilizer(ws: WeightSystem, S: Iterable[int]) -> StabilizerInfo:
     bits, rows, memo = _lattice_classes(ws)
     key = 0
     for i in S:
-        key |= bits[checked_index(ws, i)]
+        key |= bits[i if 0 <= i < len(bits) else checked_index(ws, i)]
     if key not in memo:
         factors = smith_invariant_factors([w for j, w in enumerate(rows) if key >> j & 1])
         memo[key] = StabilizerInfo(ws.rank - len(factors), tuple(d for d in factors if d > 1))

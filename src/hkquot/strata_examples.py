@@ -102,7 +102,7 @@ def hol_consistent(ws: WeightSystem, T) -> bool:
     Theory, ch. 3), so i is a coloop iff some D meets T in {i} alone.  A
     zero weight is a loop, in no cocircuit, and never a coloop.
     """
-    t = sum(1 << checked_index(ws, i) for i in set(T))
+    t = sum(1 << (i if 0 <= i < ws.n else checked_index(ws, i)) for i in set(T))
     return all(((pos | neg) & t).bit_count() != 1 for pos, neg in weight_cocircuits(ws))
 
 

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from hkquot import exactlin
 from hkquot.exactlin import (
     cocircuits,
     integer_kernel_basis,
@@ -252,6 +253,7 @@ def sign_masks(vecs, y) -> tuple[int, int]:
 @example(([[1, 0, 0], [0, 1, 0], [1, 1, 0]], [0, 0, 1]))
 @example(([[1, 0, 0], [0, 1, 0]], [1, 1, 0]))
 @example(([[1, 0, 0, 0], [0, 1, 0, 0], [1, -1, 0, 0], [0, 0, 1, 0]], [1, 2, -1, 0]))
+@example(([[0, 0, 0], [1, 0, 0], [-2, 0, 0], [0, 1, 0], [0, 0, 1]], [2, 0, 0]))
 def test_cocircuit_closure_matches_lp_oracle(config):
     vecs, theta = config
     d, m = len(theta), len(vecs)
@@ -299,6 +301,22 @@ def test_cocircuit_closure_matches_lp_oracle(config):
                 stack += [(pos | 1 << j, neg, j + 1), (pos, neg, j + 1), (pos, neg | 1 << j, j + 1)]
             continue
         assert not realized(pos, neg, j), (pos, neg, j)
+
+
+def test_cocircuits_skip_zero_and_parallel_vectors(monkeypatch):
+    # a subset holding a zero vector, or two vectors on one line, spans no
+    # hyperplane: one integer kernel per hyperplane, plus the lineality space
+    vecs = [[0, 0, 0], [1, 0, 0], [-2, 0, 0], [0, 1, 0], [0, 0, 1], [0, 0, 0], [1, 1, 1]]
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return integer_kernel_basis(*args)
+
+    monkeypatch.setattr(exactlin, "integer_kernel_basis", counting)
+    # the lines R e1, R e2, R e3 and R (1, 1, 1) span six planes in R^3
+    assert len(cocircuits(vecs, 3)) == 2 * 6
+    assert len(calls) == 6 + 1
 
 
 @st.composite

@@ -467,7 +467,7 @@ def test_chamber_walk_witnesses(walk_runs):
 
 def test_chamber_walk_issues_no_lp(monkeypatch, walk_runs):
     # the closure solves no LP and takes at most one integer kernel per
-    # (r - 1)-subset of its m vectors (the weights and theta, of rank r) plus
+    # (r - 1)-subset of its m vectors (the lines and theta, of rank r) plus
     # one for their lineality space; the cell table holds one system, and
     # the cotangent families read the base system's table
     calls: list = []
@@ -498,7 +498,7 @@ def test_chamber_walk_issues_no_lp(monkeypatch, walk_runs):
         clear_system_memos()
         n_solves = closure_solves(run.ws) + closure_solves(run.ws, cotangent_unstable_supports)
         if any(run.ws.theta):
-            vecs = list(run.ws.weights) + [list(run.ws.theta)]
+            vecs = list(run.oracle[0].dirs) + [list(run.ws.theta)]
             r = exactlin.matrix_rank(vecs)
             assert n_solves <= math.comb(len(vecs), r - 1) + 1, run.ws
         else:
