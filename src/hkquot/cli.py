@@ -37,7 +37,7 @@ from .git_stability import (
     unstable_maximal_supports,
 )
 from .hk_reduction import (
-    Sig12Row,
+    _sig12,
     frame_report_json,
     horizontal_frame,
     reduced_form,
@@ -95,19 +95,25 @@ def _load_json_text(text: str, origin: str):
         ) from None
 
 
-def _load_json_arg(arg: str, origin: str):
-    """Inline JSON when the argument looks like it, else a file path."""
-    stripped = arg.lstrip()
-    if stripped.startswith(("{", "[")):
-        return _load_json_text(arg, origin)
+def _load_json_arg(arg: str, origin: str, load=_load_json_text):
+    """load(text, origin) of the inline JSON when the argument looks like
+    it, else of a file path's text, read on every call."""
+    if arg.lstrip().startswith(("{", "[")):
+        return load(arg, origin)
     path = Path(arg)
     if not path.exists():
         raise CliError(f"{origin}: no such file: {arg}")
-    return _load_json_text(path.read_text(), str(path))
+    return load(path.read_text(), str(path))
 
 
 def _load_weights(arg: str) -> WeightSystem:
-    data = _load_json_arg(arg, "weights")
+    return _load_json_arg(arg, "weights", _weights_from_text)
+
+
+@lru_cache(maxsize=64)
+def _weights_from_text(text: str, origin: str) -> WeightSystem:
+    # one instance per text, so its numeric_view is built once; errors are not cached
+    data = _load_json_text(text, origin)
     try:
         return weight_system_from_json(data)
     except (ValueError, TypeError) as exc:
@@ -269,7 +275,12 @@ def cmd_hirzebruch(cfg: RunConfig, n: int, c0: str, c1: str) -> dict:
 
 def _flatten(prefix: str, value, emit) -> None:
     """Call emit(key, leaf) for each scalar leaf of value, in key order."""
-    if isinstance(value, HKStratumCandidate):
+    if type(value) in _SCALAR_JSON:
+        emit(prefix, value)
+        return
+    if type(value) is np.ndarray and value.ndim == 2:
+        value = [[_sig12(x) for x in row] for row in value.tolist()]
+    elif isinstance(value, HKStratumCandidate):
         value = value.to_json()
     if isinstance(value, dict):
         for key in sorted(value):
@@ -326,17 +337,16 @@ def _write_json(o, nl: str, write) -> None:
     of exact ints, or of exact finite floats, is one piece, and a scalar is
     looked up by its exact type (`_SCALAR_JSON`); subclasses and numpy
     floats take json's isinstance order, and whatever json rejects raises
-    TypeError.  A `Sig12Row` is joined from the tokens it carries, which
-    are made when `cmd_*` builds the payload, so a row must not be mutated
-    before it is written.  An HK candidate is written as its `to_json()`
-    (`_write_candidate`).  There is no circular-reference check.
+    TypeError.  A 2-D numpy array is a float matrix, written to 12
+    significant digits (`_write_matrix`).  An HK candidate is written as
+    its `to_json()` (`_write_candidate`).  There is no circular-reference
+    check.
     """
     f = _SCALAR_JSON.get(type(o))
     if f is not None:
         write(f(o))
-    elif type(o) is Sig12Row and o.tokens is not None:
-        inner = nl + "  "
-        write("[" + inner + ("," + inner).join(o.tokens) + nl + "]")
+    elif type(o) is np.ndarray and o.ndim == 2:
+        _write_matrix(o, nl, write)
     elif type(o) is HKStratumCandidate:
         _write_candidate(o, nl, write)
     elif isinstance(o, dict):
@@ -381,6 +391,37 @@ def _write_json(o, nl: str, write) -> None:
         write(nl + "]")
     else:
         write(_scalar_json(o))
+
+
+def _write_matrix(m: np.ndarray, nl: str, write) -> None:
+    """Write the JSON of m's rows of `_sig12` values from one "%.12g" text
+    per row, no float parsed back; a matrix equal to its transpose bit for
+    bit, as g = H H^T is, formats each mirrored pair once.
+
+    A token, ".0" appended to an integer one, is the repr of its `_sig12`
+    value: for a normal double the shortest repr of float(D), D a decimal of
+    at most 12 digits, has D's digits, since distinct decimals of at most 15
+    digits are distinct doubles (Steele and White 1990; Gay 1990).  Only the
+    layout can differ, and such a row is written from its `_sig12` values:
+    for "e+1" (repr writes exponents 12 to 15 in fixed point), "e-3" (below
+    1e-300 may be a subnormal, with fewer digits) and "n" (nan and inf).
+    """
+    inner = nl + "  "
+    sep, fmt = "," + inner + "  ", "%.12g " * m.shape[1]
+    mirror = m.shape[0] == m.shape[1] and m.tobytes() == m.T.tobytes()
+    rows, head = [], "[" + inner
+    for i, row in enumerate(m.tolist()):
+        start = i if mirror else 0
+        new = (fmt[6 * start:] % tuple(row[start:])).split()
+        rows.append([r[i] for r in rows[:start]] + [t if "." in t or "e" in t else t + ".0" for t in new])
+        text = sep.join(rows[-1])
+        if not text or "e+1" in text or "e-3" in text or "n" in text:
+            write(head)
+            _write_json([_sig12(x) for x in row], inner, write)
+        else:
+            write(head + "[" + inner + "  " + text + inner + "]")
+        head = "," + inner
+    write(nl + "]" if rows else "[]")
 
 
 @lru_cache(maxsize=1 << (STRATA_BOUND + 2))
@@ -529,9 +570,20 @@ def main(argv: Optional[list[str]] = None) -> int:
     except UndecidedError as exc:
         print(f"undecided: {exc}", file=sys.stderr)
         return EXIT_UNDECIDED
+    chunk = io.StringIO()
+
+    def write(piece: str) -> None:
+        # a stdout write per 64 KiB, not per piece: each would be a write(2)
+        # with PYTHONUNBUFFERED=1
+        chunk.write(piece)
+        if chunk.tell() >= 1 << 16:
+            sys.stdout.write(chunk.getvalue())
+            chunk.seek(0)
+            chunk.truncate()
+
     try:
-        _write(payload, cfg.fmt, sys.stdout.write)
-        print(flush=True)
+        _write(payload, cfg.fmt, write)
+        print(chunk.getvalue(), flush=True)
     except BrokenPipeError:
         # on devnull, the interpreter's flush at exit cannot raise again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

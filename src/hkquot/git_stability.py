@@ -381,10 +381,10 @@ def stabilizer(ws: WeightSystem, S: Iterable[int]) -> StabilizerInfo:
     return memo[key]
 
 
-@lru_cache(maxsize=1)
+@lru_cache(maxsize=16)
 def _lattice_classes(ws: WeightSystem) -> tuple[list[int], list, dict[int, StabilizerInfo]]:
     """Each weight's class bit up to sign (0 if zero), a row per class, and
-    the stabilizers by OR of class bits; the memo holds one system."""
+    the stabilizers by OR of class bits; the memo holds 16 systems."""
     classes: dict[tuple[int, ...], int] = {}
     bits = [1 << classes.setdefault(max(w, tuple(-v for v in w)), len(classes)) if any(w) else 0
             for w in ws.weights]

@@ -108,7 +108,7 @@ def ambient_frame(p: CotangentPoint) -> ReducedFrame:
 def gauge_vectors(ws: WeightSystem, p: CotangentPoint) -> np.ndarray:
     """The k real tangent vectors xi_a.p = (i beta_a x, -i beta_a z)."""
     q = p.to_numeric()
-    beta = ws.beta_array().astype(float)
+    beta = ws.numeric_view[1]
     rows = []
     for a in range(ws.rank):
         lam = beta[:, a]
@@ -214,42 +214,6 @@ def _sig12(x: float) -> float:
     return float(f"{x:.12g}")
 
 
-class Sig12Row(list):
-    """A row of `_sig12` values that carries their JSON tokens.
-
-    `tokens` are the row's "%.12g" texts, with ".0" appended to integer
-    ones: the repr json writes for each value.  For a normal double the
-    shortest repr of float(D), D a decimal of at most 12 digits, has D's
-    digits, since distinct decimals of at most 15 digits are distinct
-    doubles (Steele and White 1990; Gay 1990).  Only the layout can
-    differ, and there `tokens` is None: for "e+1" in the text (repr writes
-    exponents 12 to 15 in fixed point), "e-3" (an exponent of -300 or
-    below may be a subnormal, which has fewer digits) and "n" (nan and
-    inf, which json spells its own way).  The exponents 16 to 19, 100 to
-    199 and -30 to -39 that these substring tests also catch lose nothing
-    but speed.
-    """
-
-    __slots__ = ("tokens",)
-
-
-def _sig12_rows(mat: np.ndarray) -> list[Sig12Row]:
-    """`_sig12` of every entry, one decimal conversion per entry: each row
-    is formatted once and its floats parsed from the tokens."""
-    fmt = ", ".join(["%.12g"] * mat.shape[1])
-    rows = []
-    for row in mat.tolist():
-        text = fmt % tuple(row)
-        tokens = text.split(", ")
-        out = Sig12Row(map(float, tokens))
-        if "e+1" in text or "e-3" in text or "n" in text:
-            out.tokens = None
-        else:
-            out.tokens = [t if "." in t or "e" in t else t + ".0" for t in tokens]
-        rows.append(out)
-    return rows
-
-
 def frame_report_json(frame: ReducedFrame) -> dict:
     H = frame.horizontal
     images = _images(H)
@@ -259,7 +223,8 @@ def frame_report_json(frame: ReducedFrame) -> dict:
         "horizontal_dim": frame.dim,
         "mu_residual": _sig12(frame.mu_residual),
         "quaternion_deviation": _sig12(_quaternion_deviation(H, images)),
-        "gram": {key: _sig12_rows(mat) for key, mat in _grams(H, images).items()},
+        # the float matrices, which cli writes to 12 significant digits
+        "gram": _grams(H, images),
     }
 
 

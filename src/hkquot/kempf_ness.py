@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -78,13 +79,12 @@ class KNOutcome:
 
 
 def kn_value(ws: WeightSystem, v: AmbientPoint, xi) -> float:
-    """KN(xi); +inf on float overflow."""
+    """KN(xi); +inf on float overflow, which numpy warns of unless silenced."""
     _, beta, theta = ws.numeric_view
     xi_arr = _xi_floats(xi)
     lam = beta @ xi_arr
     mods = np.abs(v.to_numeric().coords) ** 2
-    with np.errstate(over="ignore"):
-        quad = 0.25 * float(np.dot(mods, np.exp(-2.0 * lam)))
+    quad = 0.25 * float(np.dot(mods, np.exp(-2.0 * lam)))
     val = quad + float(theta @ xi_arr)
     return val if math.isfinite(val) else math.inf
 
@@ -120,19 +120,19 @@ def kn_hessian(ws: WeightSystem, v: AmbientPoint, xi) -> np.ndarray:
     _, beta, _ = ws.numeric_view
     lam = beta @ _xi_floats(xi)
     mods = np.abs(v.to_numeric().coords) ** 2
-    with np.errstate(over="ignore"):
-        w = mods * np.exp(-2.0 * lam)
+    w = mods * np.exp(-2.0 * lam)
     return (beta.T * w) @ beta
 
 
-def _rowspace_basis(ws: WeightSystem, idx) -> np.ndarray:
-    """Orthonormal basis (k x r) of span{beta^i : i in idx}."""
-    if not idx:
-        return np.zeros((ws.rank, 0))
-    rows = ws.beta_array()[sorted(idx)].astype(float)
-    u, s, vt = np.linalg.svd(rows, full_matrices=False)
-    r = int(np.sum(s > 1e-12 * max(1.0, s[0])))
-    return vt[:r].T
+@lru_cache(maxsize=256)
+def _rowspace_basis(ws: WeightSystem, idx: frozenset) -> np.ndarray:
+    """Orthonormal basis (k x r) of span{beta^i : i in idx}; read-only."""
+    basis = np.zeros((ws.rank, 0))
+    if idx:
+        _, s, vt = np.linalg.svd(ws.numeric_view[1][sorted(idx)], full_matrices=False)
+        basis = vt[: int(np.sum(s > 1e-12 * max(1.0, s[0])))].T
+    basis.flags.writeable = False
+    return basis
 
 
 def solve_kahler(
@@ -162,41 +162,37 @@ def solve_kahler(
     Q = _rowspace_basis(ws, S)
     eta = np.zeros(Q.shape[1])
     xi = Q @ eta
-    for it in range(maxiter):
-        grad_full = kn_gradient(ws, vnum, xi)
-        gn0 = math.sqrt(grad_full.dot(grad_full))
-        if gn0 < tol:
-            rep = act_imaginary(ws, xi, 1.0, vnum)
-            return KNOutcome(
-                CONVERGED,
-                xi_star=xi,
-                representative=rep,
-                residual=gn0,
-                iterations=it,
-            )
-        grad = Q.T @ grad_full
-        hess = Q.T @ kn_hessian(ws, vnum, xi) @ Q
-        hess = hess + DAMPING * np.eye(len(eta))
-        step = -np.linalg.solve(hess, grad)
-        slope = float(grad @ step)
-        f0 = kn_value(ws, vnum, xi)
-        alpha = 1.0
-        while alpha > 2.0**-60:
-            trial = eta + alpha * step
-            xi_trial = Q @ trial
-            ftrial = kn_value(ws, vnum, xi_trial)
-            if ftrial <= f0 + ARMIJO_C * alpha * slope:
-                break
-            # near the minimum the decrease underflows double precision and
-            # the value test rejects everything; accept on a strict gradient
-            # norm decrease instead (value guarded to within rounding noise)
-            if ftrial <= f0 + 1e-12 * max(1.0, abs(f0)):
-                g = kn_gradient(ws, vnum, xi_trial)
-                if math.sqrt(g.dot(g)) < 0.9 * gn0:
+    # a line search trial may overflow e^{-2 beta(xi)}: its value is +inf
+    with np.errstate(over="ignore"):
+        for it in range(maxiter):
+            grad_full = kn_gradient(ws, vnum, xi)
+            gn0 = math.sqrt(grad_full.dot(grad_full))
+            if gn0 < tol:
+                rep = act_imaginary(ws, xi, 1.0, vnum)
+                return KNOutcome(CONVERGED, xi_star=xi, representative=rep, residual=gn0, iterations=it)
+            grad = Q.T @ grad_full
+            hess = Q.T @ kn_hessian(ws, vnum, xi) @ Q
+            hess = hess + DAMPING * np.eye(len(eta))
+            step = -np.linalg.solve(hess, grad)
+            slope = float(grad @ step)
+            f0 = kn_value(ws, vnum, xi)
+            alpha = 1.0
+            while alpha > 2.0**-60:
+                trial = eta + alpha * step
+                xi_trial = Q @ trial
+                ftrial = kn_value(ws, vnum, xi_trial)
+                if ftrial <= f0 + ARMIJO_C * alpha * slope:
                     break
-            alpha *= 0.5
-        eta = eta + alpha * step
-        xi = Q @ eta
+                # near the minimum the decrease underflows double precision and
+                # the value test rejects everything; accept on a strict gradient
+                # norm decrease instead (value guarded to within rounding noise)
+                if ftrial <= f0 + 1e-12 * max(1.0, abs(f0)):
+                    g = kn_gradient(ws, vnum, xi_trial)
+                    if math.sqrt(g.dot(g)) < 0.9 * gn0:
+                        break
+                alpha *= 0.5
+            eta = eta + alpha * step
+            xi = Q @ eta
     raise UndecidedError(f"Newton did not reach ||mu|| < {tol} within {maxiter} iterations")
 
 

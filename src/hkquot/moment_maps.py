@@ -85,7 +85,8 @@ def mu(ws: WeightSystem, v: AmbientPoint) -> MomentValue:
             s = sum((Fraction(ws.weights[i][a]) * mods[i] for i in range(ws.n)), Fraction(0))
             vals.append(ws.theta[a] - s / 2)
         return MomentValue(KAHLER, tuple(vals))
-    arr = ws.theta_array() - 0.5 * (ws.beta_array().T @ np.array(mods, dtype=float))
+    # the int weights: float ones would go to BLAS, which may round otherwise
+    arr = ws.numeric_view[2] - 0.5 * (ws.numeric_view[0].T @ np.array(mods, dtype=float))
     return MomentValue(KAHLER, tuple(float(x) for x in arr))
 
 
@@ -105,7 +106,7 @@ def hol_moment(ws: WeightSystem, p: CotangentPoint) -> MomentValue:
         return MomentValue(HOLOMORPHIC, tuple(vals))
     q = p.to_numeric()
     prod = q.x * q.z
-    vals = 1j * (prod @ ws.beta_array().astype(float))
+    vals = 1j * (prod @ ws.numeric_view[1])
     return MomentValue(HOLOMORPHIC, tuple(complex(v) for v in vals))
 
 
@@ -129,7 +130,7 @@ def mu_hyperkahler(ws: WeightSystem, p: CotangentPoint) -> MomentValue:
         return MomentValue(HYPERKAHLER, tuple(mu_i + re_m + im_m))
     q = p.to_numeric()
     mods = np.abs(q.x) ** 2 - np.abs(q.z) ** 2
-    mu_i = ws.theta_array() - 0.5 * (ws.beta_array().T.astype(float) @ mods)
+    mu_i = ws.numeric_view[2] - 0.5 * (ws.numeric_view[1].T @ mods)
     hv = np.array(hol.value, dtype=complex)
     vals = list(map(float, mu_i)) + list(map(float, hv.real)) + list(map(float, hv.imag))
     return MomentValue(HYPERKAHLER, tuple(vals))
@@ -185,12 +186,12 @@ def j_mu_weight(ws: WeightSystem, p: CotangentPoint, xi, tol: float = 1e-10):
 def flow_value(ws: WeightSystem, v: AmbientPoint, xi, t: float) -> float:
     """<mu(exp(sqrt(-1) t xi) v), xi> in closed form, capped at FLOW_CAP."""
     xi_arr = xi.as_floats() if isinstance(xi, Cocharacter) else np.array([float(u) for u in xi])
-    lam = ws.beta_array().astype(float) @ xi_arr
+    lam = ws.numeric_view[1] @ xi_arr
     mods = np.array(v.to_numeric().moduli_squared(), dtype=float)
     # only the support contributes; a dead coordinate with a growing
     # exponent would otherwise poison the sum with 0 * inf
     live = sorted(support(v))
-    theta_term = float(ws.theta_array() @ xi_arr)
+    theta_term = float(ws.numeric_view[2] @ xi_arr)
     with np.errstate(over="ignore"):
         scaled = mods[live] * np.exp(-2.0 * lam[live] * t)
     val = -0.5 * float(np.dot(scaled, lam[live])) + theta_term

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from numbers import Integral
 from typing import Iterable, Sequence, Union
 
@@ -306,6 +306,7 @@ def support(p: AmbientPoint | CotangentPoint, tol: float = SUPPORT_TOL):
     return tuple(sets) if cotangent else sets[0]
 
 
+@lru_cache(maxsize=64)
 def doubled_weights(ws: WeightSystem) -> WeightSystem:
     """Weights of the T*V action: (beta^1..beta^n, -beta^1..-beta^n), same theta."""
     negs = tuple(tuple(-v for v in w) for w in ws.weights)
@@ -321,7 +322,7 @@ def act_imaginary(ws: WeightSystem, xi: Cocharacter | Sequence, t: float, p):
     xi_arr = xi.as_floats() if isinstance(xi, Cocharacter) else np.array([float(v) for v in xi])
     if len(xi_arr) != ws.rank:
         raise DimensionMismatchError("cocharacter length != rank")
-    lam = ws.beta_array() @ xi_arr
+    lam = ws.numeric_view[0] @ xi_arr
     if isinstance(p, CotangentPoint):
         if p.n != ws.n:
             raise DimensionMismatchError("point length != weight count")

@@ -1,6 +1,7 @@
 """End-to-end command-line behavior: exit codes, payloads, determinism."""
 
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 jsonschema = pytest.importorskip("jsonschema")
 
 from hkquot import WeightSystem, cli, exactlin, git_stability
-from hkquot.cli import RunConfig, _numeric_scalar, cmd_analyze, main, render
+from hkquot.cli import CliError, RunConfig, _numeric_scalar, cmd_analyze, main, render
 from hkquot.rep_core import weight_system_to_json
 from hkquot.scalars import parse_rational
 from hkquot.strata_examples import (
@@ -170,6 +171,29 @@ def test_missing_file_exits_2(capsys):
     code, _, err = run(capsys, "analyze", "no-such-file.json")
     assert code == 2
     assert "no such file" in err
+
+
+def test_weight_text_is_parsed_once_and_files_are_read_each_time(tmp_path):
+    # equal inline texts give one system; a malformed text raises on every
+    # call and leaves nothing in the memo; a weights file is read again by
+    # each command, so a rewritten file is seen
+    text = HIRZEBRUCH1[:10] + HIRZEBRUCH1[10:]
+    assert text is not HIRZEBRUCH1 and cli._load_weights(text) is cli._load_weights(HIRZEBRUCH1)
+    cached = cli._weights_from_text.cache_info().currsize
+    for bad, message in (('{"rank": 1, "weights": [[1]], "theta": [', "parse error in weights"),
+                         ('{"rank": 1, "weights": [[true]], "theta": ["1"]}', "invalid weight system")):
+        for _ in range(2):
+            with pytest.raises(CliError, match=message):
+                cli._load_weights(bad)
+    assert cli._weights_from_text.cache_info().currsize == cached
+    path = tmp_path / "weights.json"
+    path.write_text(DIAG2)
+    assert cmd_analyze(RunConfig(), str(path))["weight_system"]["weights"] == [[1], [1]]
+    path.write_text(HIRZEBRUCH1)
+    assert cmd_analyze(RunConfig(), str(path))["weight_system"]["weights"] == [[1, 0], [1, 0], [0, 1], [-1, 1]]
+    path.write_text("[")
+    with pytest.raises(CliError, match="parse error in " + str(path)):
+        cli._load_weights(str(path))
 
 
 def test_parse_errors_exit_2(capsys):
@@ -539,6 +563,29 @@ def test_main_streams_every_format_without_render(capsys, monkeypatch):
             assert out == real_render(payload, fmt) + "\n", fmt
             if weights == draw:
                 assert hashlib.sha256(out.encode()).hexdigest() == DRAW_8_2_DIGESTS[fmt], fmt
+
+
+class CountingStdout(io.StringIO):
+    """A stdout that counts its write calls."""
+
+    writes = 0
+
+    def write(self, text: str) -> int:
+        self.writes += 1
+        return super().write(text)
+
+
+def test_main_writes_stdout_in_64_kib_chunks(monkeypatch):
+    # main collects the writer's pieces and writes stdout once per 64 KiB
+    # or so, not once per piece: unbuffered, each write is a write(2)
+    draw = _draw_8_2()
+    for fmt in ("json", "table"):
+        out = CountingStdout()
+        monkeypatch.setattr(sys, "stdout", out)
+        assert main(["--format", fmt, "analyze", draw]) == 0
+        text = out.getvalue()
+        assert hashlib.sha256(text.encode()).hexdigest() == DRAW_8_2_DIGESTS[fmt]
+        assert 2 < out.writes <= len(text) // (1 << 16) + 2, fmt
 
 
 #: `hkquot` in a fresh interpreter; `_child_env` makes it import this checkout

@@ -25,7 +25,6 @@ from hkquot import hk_reduction
 from hkquot.cli import render
 from hkquot.hk_reduction import (
     ReducedFrame,
-    Sig12Row,
     ambient_frame,
     ambient_potential_check,
     circle_action_check,
@@ -274,8 +273,9 @@ def test_frame_report_shape(hirzebruch_frame):
 
 
 def test_gram_rounding_matches_per_value_sig12():
-    # the report rounds each Gram row in one pass; its floats are bit for
-    # bit those of `_sig12` taken one entry at a time
+    # the CLI formats each Gram row once, a symmetric matrix's mirrored
+    # pairs once, and parses no float back; its text reads back bit for bit
+    # as `_sig12` taken one entry at a time
     def bits(rows) -> list:
         assert all(type(v) is float for row in rows for v in row)
         return [[v.hex() for v in row] for row in rows]
@@ -288,9 +288,11 @@ def test_gram_rounding_matches_per_value_sig12():
     rng = np.random.default_rng(9)
     mats += [rng.standard_normal((4, 5)) * 10.0 ** rng.integers(-310, 308, (4, 5)) for _ in range(40)]
     mats.append(np.array([[-0.0, 0.0, 5e-324, -2.2e-308], [1e300, -1.7976931348623157e308, 1 / 3, -123456789012.5]]))
+    with np.errstate(over="ignore"):
+        mats += [m[:, :4] + m[:, :4].T for m in mats if m.shape == (4, 5)]
     for mat in mats:
         want = [[hk_reduction._sig12(v) for v in row] for row in mat]
-        assert bits(hk_reduction._sig12_rows(mat)) == bits(want)
+        assert bits(json.loads(render({"gram": mat}, "json"))["gram"]) == bits(want)
 
 
 #: either side of each layout switch of "%.12g" and of repr (exponents 12
@@ -312,17 +314,21 @@ GRAM_EDGES = (
 )
 @example(np.array(GRAM_EDGES).reshape(2, -1))
 @example(np.array([[1.0, 0.0, -0.0, 1e-17], [2.0, 1e12, 1e15, 1e16]]))
+@example(np.array([[1.0, 0.0, -0.0], [-0.0, 1.0, 1e-17], [0.0, 1e-17, 1e12]]))
 def test_sig12_row_text_is_json_text(mat):
-    # the text a Gram row carries is what json.dumps writes for its values,
-    # or None where the layouts differ; every other output stays as it was
-    rows = hk_reduction._sig12_rows(mat)
-    for row, entries in zip(rows, mat):
-        assert type(row) is Sig12Row
-        assert [v.hex() for v in row] == [hk_reduction._sig12(x).hex() for x in entries]
-    report = {"horizontal_dim": len(mat), "gram": {"g": rows, "omega_I": rows[::-1]}}
-    plain = json.loads(json.dumps(report))
-    assert render(report, "json") == json.dumps(report, sort_keys=True, indent=2)
-    for fmt in ("json", "table", "csv"):
+    # the text the CLI writes for a float matrix is what json.dumps writes
+    # for its `_sig12` values, in every format: from the "%.12g" tokens, or
+    # from the values where the layouts differ; a matrix equal to its
+    # transpose bit for bit formats each mirrored pair once, and one equal
+    # but for the sign of a zero is not mirrored
+    square = mat[: min(mat.shape), : min(mat.shape)]
+    with np.errstate(over="ignore"):
+        mats = {"g": mat, "omega_I": mat[::-1], "omega_J": square + square.T, "omega_K": square}
+    sig12 = {key: [[hk_reduction._sig12(x) for x in row] for row in m.tolist()] for key, m in mats.items()}
+    report = {"horizontal_dim": len(mat), "gram": mats}
+    plain = {"horizontal_dim": len(mat), "gram": sig12}
+    assert render(report, "json") == json.dumps(plain, sort_keys=True, indent=2)
+    for fmt in ("table", "csv"):
         assert render(report, fmt) == render(plain, fmt)
 
 
@@ -349,7 +355,9 @@ def _assert_report_matches_oracle(frame):
     assert quaternion_check(frame).hex() == deviation.hex()
     report = frame_report_json(frame)
     assert report["quaternion_deviation"].hex() == hk_reduction._sig12(deviation).hex()
-    assert report["gram"] == {key: hk_reduction._sig12_rows(mat) for key, mat in want.items()}
+    # the float matrices themselves, which the CLI writes to 12 digits
+    assert list(report["gram"]) == list(want)
+    assert all(report["gram"][key].tobytes() == mat.tobytes() for key, mat in want.items())
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)

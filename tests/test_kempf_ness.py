@@ -1,6 +1,7 @@
 """Kempf-Ness minimization: values, derivatives, solves, certificates."""
 
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -27,6 +28,7 @@ from hkquot import (
     solve_hyperkahler,
     solve_kahler,
 )
+from hkquot import kempf_ness
 from hkquot.git_stability import STABLE, UNSTABLE
 from hkquot.kempf_ness import (
     CONVERGED,
@@ -167,6 +169,39 @@ def test_numeric_view_is_shared_and_read_only(hirzebruch1):
     for arr in (beta, beta_f, theta):
         with pytest.raises(ValueError):
             arr[0] = 0
+
+
+def test_rowspace_basis_is_one_read_only_array_per_support(hirzebruch1):
+    # the Newton basis is built once for each system and support, and no
+    # caller can write into the shared array
+    Q = kempf_ness._rowspace_basis(hirzebruch1, frozenset({0, 2}))
+    assert kempf_ness._rowspace_basis(hirzebruch1, frozenset({2, 0})) is Q
+    assert Q.shape == (2, 2) and np.allclose(Q.T @ Q, np.eye(2))
+    for arr in (Q, kempf_ness._rowspace_basis(hirzebruch1, frozenset()), *hirzebruch1.numeric_view):
+        with pytest.raises(ValueError):
+            arr[...] = 0
+
+
+def test_line_search_overflow_is_silent(monkeypatch):
+    # moduli 1e-10 against theta 1/2: the first Newton step is about
+    # -2.5e9, where e^{-2 beta(xi)} overflows; the solve halves it without
+    # a warning, while kn_value called alone still warns and returns +inf
+    ws = WeightSystem(1, ((1,), (-1,)), (Fraction(1, 2),))
+    v = AmbientPoint.numeric([1e-5, 1e-5])
+    values = []
+
+    def recorded(*args):
+        values.append(kn_value(*args))
+        return values[-1]
+
+    monkeypatch.setattr(kempf_ness, "kn_value", recorded)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = solve_kahler(ws, v)
+    assert out.status == CONVERGED and out.residual < 1e-10
+    assert math.inf in values
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        assert kn_value(ws, v, [-2.5e9]) == math.inf
 
 
 def test_kn_hessian_positive_semidefinite():
