@@ -16,11 +16,13 @@ problem sizes in this package are tiny (tens of variables), and the
 simplex has not been tuned.  It returns its row multipliers too: an
 optimal dual solution, or a Farkas certificate when the LP is infeasible.
 Only the stability classifier in `git_stability` still solves LPs, one
-per verdict, and reads its certificates off those multipliers.  The
-users of `cocircuits` solve none: the enumeration of both loci composes
-the cocircuits, a single support is semistable iff no cocircuit is
-negative on theta alone (Farkas), and the compactness predicate asks
-whether the nonnegative ones cover every weight (Gordan's alternative).
+per verdict, and reads its certificates off those multipliers.  The one
+caller of `cocircuits`, `git_stability.cocircuit_signs`, takes those of
+(the weights, theta) once per system, and its readers solve none: the
+enumeration of both loci composes them, a single support S is semistable
+iff none is negative on theta and nowhere on S (Farkas), compactness asks
+whether the nonnegative ones cover every weight (Gordan's alternative),
+and hol-consistency whether one meets T in one index alone.
 """
 
 from __future__ import annotations

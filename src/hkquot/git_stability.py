@@ -29,13 +29,14 @@ The loci are enumerated from one table of sign cells per system
 (`_cells`), with no LP: the sign vectors of the arrangement {beta^i(xi) =
 0} inside {<theta, xi> < 0}.  Every covector is a composition of
 cocircuits (Bjorner, Las Vergnas, Sturmfels, White and Ziegler, Oriented
-Matroids, 1993), so the table takes the cocircuits of (the weights,
-theta) directly (`exactlin.cocircuits`) and closes the theta-negative
-ones under composition, on bitmask pairs.  The cotangent system has the
-same hyperplanes and theta, so the same cells, and the semistable
-supports are the complement of the unstable ones.  One support alone is
-decided by Farkas on the cocircuits of (beta_S, theta), and compactness
-by Gordan's alternative on those of the weights.
+Matroids, 1993), so the table closes the theta-negative cocircuits of
+(the weights, theta), taken once per system (`cocircuit_signs`), under
+composition, on bitmask pairs.  The cotangent system has the same
+hyperplanes and theta, so the same cells, and the semistable supports
+are the complement of the unstable ones.  The cocircuits of a part of a
+configuration are the minimal nonzero restrictions of the whole's
+(deletion), so one support is decided by Farkas on the same list and
+compactness by Gordan's alternative on it, theta ignored.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ from .exactlin import (
     lp_maximize,
     smith_invariant_factors,
 )
-from .rep_core import AmbientPoint, Cocharacter, WeightSystem, support
+from .rep_core import AmbientPoint, Cocharacter, WeightSystem, exact_cocharacter, support
 
 STABLE = "stable"
 STRICTLY_SEMISTABLE = "strictly-semistable"
@@ -133,12 +134,6 @@ class StratumRecord:
         }
 
 
-def _as_xi(xi) -> tuple[Fraction, ...]:
-    if isinstance(xi, Cocharacter):
-        return tuple(Fraction(v) for v in xi.xi)
-    return tuple(Fraction(v) for v in xi)
-
-
 def mu_weight(ws: WeightSystem, v: AmbientPoint, xi) -> Fraction | float:
     """The mu-weight of (v, xi): +inf if the flow blows up, else <theta, xi>.
 
@@ -146,9 +141,7 @@ def mu_weight(ws: WeightSystem, v: AmbientPoint, xi) -> Fraction | float:
     any supported index with beta^i(xi) < 0 forces the weight to +infinity;
     otherwise the limit is <theta, xi> exactly.
     """
-    exact_xi = _as_xi(xi)
-    if len(exact_xi) != ws.rank:
-        raise DimensionMismatchError("cocharacter length != rank")
+    exact_xi = exact_cocharacter(ws, xi)
     if v.n != ws.n:
         raise DimensionMismatchError("point length != weight count")
     for i in support(v):
@@ -162,17 +155,17 @@ def semistable_support(ws: WeightSystem, S: Iterable[int]) -> bool:
 
     By Farkas, S is unstable iff some xi has beta^i(xi) >= 0 on S and
     <theta, xi> < 0, a covector of (beta_S, theta) negative on theta alone.
-    It is the composition of the cocircuits conformal to it, one of which
-    is negative on theta, so S is semistable iff no cocircuit of (beta_S,
-    theta) is negative on theta and nowhere else.  theta = 0 is in every
-    cone.  The cost depends on |S|, not on the whole arrangement.
+    It restricts a covector of (the weights, theta), the composition of
+    the cocircuits conformal to it, one of them negative on theta; so S is
+    semistable iff no member of `cocircuit_signs` is negative on theta and
+    nowhere on S.  theta = 0 is in every cone.  The cost is one pass over
+    the whole arrangement per system, memoized.
     """
-    vecs = [ws.weights[checked_index(ws, i)] for i in sorted(set(S))]
+    s = sum(1 << checked_index(ws, i) for i in set(S))
     if not any(ws.theta):
         return True
-    t = 1 << len(vecs)
-    vecs.append(integer_primitive(ws.theta))
-    return all(neg != t for (_, neg), _ in cocircuits(vecs, ws.rank))
+    t = 1 << ws.n
+    return all(neg & (s | t) != t for _, neg in cocircuit_signs(ws))
 
 
 def polystable_support(ws: WeightSystem, S: Iterable[int]) -> bool:
@@ -340,8 +333,8 @@ def _cells(ws: WeightSystem) -> tuple[tuple[int, int], ...]:
     """The cell table: one pair of index masks ({i : beta^i(xi) >= 0},
     {i : beta^i(xi) > 0}) per sign cell xi of the arrangement inside
     {<theta, xi> < 0}, that is per theta-negative covector of (the
-    weights, theta), theta scaled to ints last.  It decides both loci of
-    ws and of its cotangent system; the memo holds one system.
+    weights, theta).  It decides both loci of ws and of its cotangent
+    system; the memo holds one system.
 
     The closure composes the theta-negative cocircuits with every
     cocircuit Y, X o Y = (Xp | Yp & ~Xn, Xn | Yn & ~Xp), which yields
@@ -353,8 +346,7 @@ def _cells(ws: WeightSystem) -> tuple[tuple[int, int], ...]:
     """
     if not any(ws.theta):
         return ()
-    vecs = list(ws.weights) + [integer_primitive(ws.theta)]
-    circuits = [signs for signs, _ in cocircuits(vecs, ws.rank)]
+    circuits = cocircuit_signs(ws)
     t = 1 << ws.n
     queue = [(pos, neg) for pos, neg in circuits if neg & t]
     seen = set(queue)
@@ -454,21 +446,25 @@ def quotient_compact(ws: WeightSystem) -> bool:
     cocircuits conformal to it, which have no negative entry, and a
     composition of nonnegative cocircuits is positive wherever one of them
     is; so it exists iff the nonnegative cocircuits of the weights cover
-    every index.  A zero weight is positive in no cocircuit, and n = 0 is
-    compact.
+    every index, as the nonnegative restrictions of `cocircuit_signs`,
+    theta deleted, do: those are compositions of them.  A zero weight is
+    positive in no cocircuit, and n = 0 is compact.
     """
+    full = (1 << ws.n) - 1
     covered = 0
-    for pos, neg in weight_cocircuits(ws):
-        if not neg:
+    for pos, neg in cocircuit_signs(ws):
+        if not neg & full:
             covered |= pos
-    return covered == (1 << ws.n) - 1
+    return covered & full == full
 
 
 @lru_cache(maxsize=1)
-def weight_cocircuits(ws: WeightSystem) -> tuple[tuple[int, int], ...]:
-    """The cocircuits of the weights as sign masks (pos, neg), memoized for
-    one system: `quotient_compact` and `hol_consistent` share them."""
-    return tuple(signs for signs, _ in cocircuits(ws.weights, ws.rank))
+def cocircuit_signs(ws: WeightSystem) -> tuple[tuple[int, int], ...]:
+    """The cocircuits of (the weights, theta) as sign masks (pos, neg),
+    theta scaled to ints at bit n (zero, a loop, when theta = 0), memoized
+    for one system: every exact test of the system reads this list."""
+    theta = integer_primitive(ws.theta) if any(ws.theta) else [0] * ws.rank
+    return tuple(signs for signs, _ in cocircuits(list(ws.weights) + [theta], ws.rank))
 
 
 def kahler_strata(ws: WeightSystem, bound: int = DEFAULT_BOUND) -> list[StratumRecord]:

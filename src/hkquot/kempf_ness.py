@@ -43,6 +43,7 @@ from .rep_core import (
     WeightSystem,
     act_imaginary,
     doubled_weights,
+    float_cocharacter,
     point_to_json,
     support,
 )
@@ -81,20 +82,12 @@ class KNOutcome:
 def kn_value(ws: WeightSystem, v: AmbientPoint, xi) -> float:
     """KN(xi); +inf on float overflow, which numpy warns of unless silenced."""
     _, beta, theta = ws.numeric_view
-    xi_arr = _xi_floats(xi)
+    xi_arr = float_cocharacter(ws, xi)
     lam = beta @ xi_arr
     mods = np.abs(v.to_numeric().coords) ** 2
     quad = 0.25 * float(np.dot(mods, np.exp(-2.0 * lam)))
     val = quad + float(theta @ xi_arr)
     return val if math.isfinite(val) else math.inf
-
-
-def _xi_floats(xi) -> np.ndarray:
-    if isinstance(xi, np.ndarray):
-        return np.ascontiguousarray(xi, dtype=float)
-    if isinstance(xi, Cocharacter):
-        return xi.as_floats()
-    return np.array([float(u) for u in xi])
 
 
 def kn_gradient(ws: WeightSystem, v: AmbientPoint, xi) -> np.ndarray:
@@ -105,9 +98,7 @@ def kn_gradient(ws: WeightSystem, v: AmbientPoint, xi) -> np.ndarray:
     cached arrays, with no point or moment value built.
     """
     beta, _, theta = ws.numeric_view
-    xi_arr = _xi_floats(xi)
-    if len(xi_arr) != ws.rank:
-        raise DimensionMismatchError("cocharacter length != rank")
+    xi_arr = float_cocharacter(ws, xi)
     coords = v.to_numeric().coords
     if len(coords) != ws.n:
         raise DimensionMismatchError("point length != weight count")
@@ -118,7 +109,7 @@ def kn_gradient(ws: WeightSystem, v: AmbientPoint, xi) -> np.ndarray:
 def kn_hessian(ws: WeightSystem, v: AmbientPoint, xi) -> np.ndarray:
     """Hess KN(xi) = sum_i |v_i|^2 e^{-2 beta^i(xi)} beta^i beta^i^T (PSD)."""
     _, beta, _ = ws.numeric_view
-    lam = beta @ _xi_floats(xi)
+    lam = beta @ float_cocharacter(ws, xi)
     mods = np.abs(v.to_numeric().coords) ** 2
     w = mods * np.exp(-2.0 * lam)
     return (beta.T * w) @ beta
@@ -161,6 +152,7 @@ def solve_kahler(
     S = support(vnum)
     Q = _rowspace_basis(ws, S)
     eta = np.zeros(Q.shape[1])
+    damping = DAMPING * np.eye(len(eta))
     xi = Q @ eta
     # a line search trial may overflow e^{-2 beta(xi)}: its value is +inf
     with np.errstate(over="ignore"):
@@ -172,7 +164,7 @@ def solve_kahler(
                 return KNOutcome(CONVERGED, xi_star=xi, representative=rep, residual=gn0, iterations=it)
             grad = Q.T @ grad_full
             hess = Q.T @ kn_hessian(ws, vnum, xi) @ Q
-            hess = hess + DAMPING * np.eye(len(eta))
+            hess = hess + damping
             step = -np.linalg.solve(hess, grad)
             slope = float(grad @ step)
             f0 = kn_value(ws, vnum, xi)

@@ -24,10 +24,11 @@ import numpy as np
 from .errors import DimensionMismatchError
 from .rep_core import (
     AmbientPoint,
-    Cocharacter,
     CotangentPoint,
     WeightSystem,
     exact_abs2,
+    exact_cocharacter,
+    float_cocharacter,
     support,
 )
 from .scalars import QC, format_rational
@@ -143,49 +144,39 @@ def psi(p: CotangentPoint) -> Fraction | float:
     return float(-0.5 * np.sum(np.abs(p.z) ** 2))
 
 
-def _sgn(x) -> int:
-    if x > 0:
-        return 1
-    if x < 0:
-        return -1
-    return 0
-
-
 def j_mu_weight(ws: WeightSystem, p: CotangentPoint, xi, tol: float = 1e-10):
     """J-weight of (p, xi): always 0 or +inf.
 
     Zero iff for every coordinate either beta^i(xi) = 0 or
     x_i = sgn(beta^i(xi)) * i * conj(z_i); the coordinate then contracts
-    along the J-flow instead of blowing up.
+    along the J-flow instead of blowing up.  The condition is homogeneous,
+    so a numeric point meets it within tol times its largest modulus.
     """
-    exact_xi = (
-        tuple(Fraction(v) for v in (xi.xi if isinstance(xi, Cocharacter) else xi))
-    )
-    if len(exact_xi) != ws.rank:
-        raise DimensionMismatchError("cocharacter length != rank")
+    exact_xi = exact_cocharacter(ws, xi)
     if p.n != ws.n:
         raise DimensionMismatchError("point length != weight count")
     exact = p.is_exact and all(isinstance(c, QC) for c in tuple(p.x) + tuple(p.z))
     q = None if exact else p.to_numeric()
+    cut = 0.0 if exact else tol * max(np.abs(q.x).max(initial=0.0), np.abs(q.z).max(initial=0.0))
     for i in range(ws.n):
         lam = ws.weight_pairing(i, exact_xi)
         if lam == 0:
             continue
-        s = _sgn(lam)
+        s = 1 if lam > 0 else -1
         if exact:
             rhs = p.z[i].conj().times_i() * Fraction(s)
             if not (p.x[i] - rhs).is_zero():
                 return math.inf
         else:
             rhs = s * 1j * np.conj(q.z[i])
-            if abs(q.x[i] - rhs) > tol:
+            if abs(q.x[i] - rhs) > cut:
                 return math.inf
     return 0
 
 
 def flow_value(ws: WeightSystem, v: AmbientPoint, xi, t: float) -> float:
     """<mu(exp(sqrt(-1) t xi) v), xi> in closed form, capped at FLOW_CAP."""
-    xi_arr = xi.as_floats() if isinstance(xi, Cocharacter) else np.array([float(u) for u in xi])
+    xi_arr = float_cocharacter(ws, xi)
     lam = ws.numeric_view[1] @ xi_arr
     mods = np.array(v.to_numeric().moduli_squared(), dtype=float)
     # only the support contributes; a dead coordinate with a growing

@@ -152,6 +152,25 @@ class Cocharacter:
         return [float(v) for v in self.xi]
 
 
+def exact_cocharacter(ws: WeightSystem, xi: Cocharacter | Sequence) -> tuple[Fraction, ...]:
+    """A cocharacter argument as Fractions, refused unless of length k."""
+    out = tuple(Fraction(v) for v in (xi.xi if isinstance(xi, Cocharacter) else xi))
+    if len(out) != ws.rank:
+        raise DimensionMismatchError("cocharacter length != rank")
+    return out
+
+
+def float_cocharacter(ws: WeightSystem, xi: Cocharacter | Sequence) -> np.ndarray:
+    """A cocharacter argument as floats, refused unless of length k; a
+    contiguous float ndarray passes through uncopied."""
+    if not isinstance(xi, np.ndarray):
+        xi = [float(v) for v in (xi.xi if isinstance(xi, Cocharacter) else xi)]
+    out = np.ascontiguousarray(xi, dtype=float)
+    if len(out) != ws.rank:
+        raise DimensionMismatchError("cocharacter length != rank")
+    return out
+
+
 Scalar = Union[QC, PhasedComplex, complex]
 
 
@@ -319,18 +338,12 @@ def act_imaginary(ws: WeightSystem, xi: Cocharacter | Sequence, t: float, p):
     On cotangent points the fiber coordinate z_i scales by e^{+beta^i(xi) t}.
     Numeric output.
     """
-    xi_arr = xi.as_floats() if isinstance(xi, Cocharacter) else np.array([float(v) for v in xi])
-    if len(xi_arr) != ws.rank:
-        raise DimensionMismatchError("cocharacter length != rank")
-    lam = ws.numeric_view[0] @ xi_arr
-    if isinstance(p, CotangentPoint):
-        if p.n != ws.n:
-            raise DimensionMismatchError("point length != weight count")
-        q = p.to_numeric()
-        return CotangentPoint.numeric(q.x * np.exp(-lam * t), q.z * np.exp(lam * t))
+    lam = ws.numeric_view[0] @ float_cocharacter(ws, xi)
     if p.n != ws.n:
         raise DimensionMismatchError("point length != weight count")
     q = p.to_numeric()
+    if isinstance(p, CotangentPoint):
+        return CotangentPoint.numeric(q.x * np.exp(-lam * t), q.z * np.exp(lam * t))
     return AmbientPoint(q.coords * np.exp(-lam * t))
 
 

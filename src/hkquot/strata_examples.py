@@ -5,11 +5,11 @@ support pair (S_x, S_z).  Exact necessary conditions: the doubled support
 must be semistable, and the holomorphic moment map must be able to vanish
 with every coordinate of S_x cap S_z nonzero, which holds iff that
 intersection T is a union of circuits of its weight columns, that is iff
-no cocircuit of the weights meets T in one index alone (a coloop of the
-restriction to T; Oxley, Matroid Theory, ch. 3).  Certification is
-one-sided: a numerically produced witness proves a stratum nonempty; the
-absence of one after R seeds proves nothing, so candidates are never
-marked refuted by sampling.
+no cocircuit of the weights, read off those of (the weights, theta),
+meets T in one index alone (a coloop of the restriction to T; Oxley,
+Matroid Theory, ch. 3).  Certification is one-sided: a numerically
+produced witness proves a stratum nonempty; the absence of one after R
+seeds proves nothing, so candidates are never marked refuted by sampling.
 
 The Hirzebruch-surface suite pins the whole pipeline against the weight
 system {(1,0), (1,0), (0,1), (-n,1)} with theta = (c0/2, c1/2): the
@@ -38,12 +38,12 @@ from .git_stability import (
     check_bound,
     checked_index,
     classify_point,
+    cocircuit_signs,
     cotangent_semistable_masks,
     mu_weight,
     semistable_support,
     stabilizer,
     unstable_maximal_supports,
-    weight_cocircuits,
 )
 from .kempf_ness import CONVERGED, solve_hyperkahler
 from .moment_maps import hol_moment
@@ -99,11 +99,12 @@ def hol_consistent(ws: WeightSystem, T) -> bool:
     Iff T is a union of circuits of the weight columns, that is, iff their
     matroid M restricted to T has no coloop.  The cocircuits of M|T are the
     minimal nonempty sets D cap T, D a cocircuit of M (Oxley, Matroid
-    Theory, ch. 3), so i is a coloop iff some D meets T in {i} alone.  A
-    zero weight is a loop, in no cocircuit, and never a coloop.
+    Theory, ch. 3), so i is a coloop iff some D meets T in {i} alone; the
+    restrictions of `cocircuit_signs`, theta deleted, are unions of such D
+    and include each.  A zero weight is a loop, never a coloop.
     """
     t = sum(1 << (i if 0 <= i < ws.n else checked_index(ws, i)) for i in set(T))
-    return all(((pos | neg) & t).bit_count() != 1 for pos, neg in weight_cocircuits(ws))
+    return all(((pos | neg) & t).bit_count() != 1 for pos, neg in cocircuit_signs(ws))
 
 
 def hk_candidate_strata(ws: WeightSystem, bound: int = STRATA_BOUND) -> list[HKStratumCandidate]:

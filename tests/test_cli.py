@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 jsonschema = pytest.importorskip("jsonschema")
 
 from hkquot import WeightSystem, cli, exactlin, git_stability
-from hkquot.cli import CliError, RunConfig, _numeric_scalar, cmd_analyze, main, render
+from hkquot.cli import CliError, RunConfig, _numeric_scalar, cmd_analyze, cmd_hirzebruch, main, render
 from hkquot.rep_core import weight_system_to_json
 from hkquot.scalars import parse_rational
 from hkquot.strata_examples import (
@@ -159,6 +159,31 @@ def test_hirzebruch_rejects_bad_parameters(capsys):
     code, _, err = run(capsys, "hirzebruch", "1", "1/0")
     assert code == 2
     assert "rational" in err
+
+
+#: sha256 of `render(cmd_hirzebruch(RunConfig(), n, "1", "1"), fmt)`
+HIRZEBRUCH_DIGESTS = {
+    (1, "json"): "2f8612281b7916f1c8de74b60c655cdc3332c9486ed097c4ce8ad2f250d30b5e",
+    (1, "table"): "f428694538ae60494b104f4f8f3cb938e41d263d55eff6c543bad39b835bc6a0",
+    (2, "json"): "8107b092d68fff9049e84cff20f6dbe5370591821b16b2c2ed8ab35a03541f50",
+    (2, "table"): "648a12d72c1f1875e4d35fe2b8adafcf57299a2e1592b4cfefc165723522e304",
+    (3, "json"): "0b19b60398ebea15f011ca4ee1bdd7204c172987cf1c0851ec389c9905004eb6",
+    (3, "table"): "0181d40b21ae7f83edd2b1867f982ef8f3ca75fb785aa900e5f68a901dfd060c",
+    (5, "json"): "33a17a5e90db060b0b84efd4121b7f316d7bf2189652f318169916f9762940fe",
+    (5, "table"): "d5f728ba65e9317b145d9046a28fbbc5762ca787ab7fa619041c5f3bd7f1ead6",
+    (8, "json"): "85fc9105ecbb632d3a27d21a73f6a5a38a62171bf2a95bb36fb0de6c6fe2468e",
+    (8, "table"): "624b9bb1b58d6542e1d38816e9ab29429136a4b0bb1a42e53f66d4a5407ec179",
+}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+def test_hirzebruch_bytes_are_pinned(n):
+    # the whole report, not only its schema: the semistability assertions,
+    # the mu-weights of the certificates and the printed witness residuals
+    payload = cmd_hirzebruch(RunConfig(), n, "1", "1")
+    for fmt in ("json", "table"):
+        digest = hashlib.sha256(render(payload, fmt).encode()).hexdigest()
+        assert digest == HIRZEBRUCH_DIGESTS[n, fmt], (n, fmt)
 
 
 def test_malformed_json_reports_position(capsys):
@@ -313,6 +338,7 @@ def test_analyze_checks_the_bound_before_any_enumeration(capsys, monkeypatch):
 
     monkeypatch.setattr(git_stability, "cocircuits", counting)
     git_stability._cells.cache_clear()
+    git_stability.cocircuit_signs.cache_clear()
     cp10 = json.dumps({"rank": 1, "weights": [[1]] * 11, "theta": ["1"]})
     code, out, err = run(capsys, "analyze", cp10)
     assert (code, out) == (2, "")
@@ -335,9 +361,8 @@ def test_output_is_byte_deterministic(capsys):
             assert code == 0
             runs.append(out)
         assert runs[0] == runs[1]
-    # the one-system memos (the cell table, the closure, the weight
-    # cocircuits) must not let a different system in between change the
-    # first system's output
+    # the one-system memos (the cell table, the cocircuit signs) must not
+    # let a different system in between change the first system's output
     hirzebruch2 = json.dumps(
         {"rank": 2, "weights": [[1, 0], [1, 0], [0, 1], [-2, 1]], "theta": ["1/2", "1/2"]}
     )

@@ -367,9 +367,16 @@ def test_semistable_paths_use_no_lp(monkeypatch, hirzebruch1):
 
 def clear_system_memos() -> None:
     """Forget the one-system memos of the loci: the cell table and the
-    weight cocircuits."""
+    cocircuit signs."""
     git_stability._cells.cache_clear()
-    git_stability.weight_cocircuits.cache_clear()
+    git_stability.cocircuit_signs.cache_clear()
+
+
+def signed_vectors(ws: WeightSystem) -> list:
+    """The one configuration whose cocircuits every exact test reads: the
+    weights, then theta scaled to ints (the zero vector when theta = 0)."""
+    theta = exactlin.integer_primitive(ws.theta) if any(ws.theta) else [0] * ws.rank
+    return list(ws.weights) + [theta]
 
 
 #: several lines in one plane of R^3, so the walk meets lines that lie in
@@ -778,7 +785,7 @@ def test_stabilizer_memo_keeps_w_and_2w_apart():
 def test_analyze_takes_one_smith_form_per_lattice_class(monkeypatch, hirzebruch1):
     # one cmd_analyze: a Smith form per distinct set of weight classes over
     # the Kahler supports and the candidates' sx | sz, and one cocircuit
-    # pass of the weights, shared by compactness and hol-consistency
+    # pass, of (the weights, theta), shared by every exact test
     rng = np.random.default_rng(43)
     systems = [hirzebruch1, hirzebruch_weight_system(3)] + list(DEGENERATE)
     systems += [random_weight_system(rng, nmax=5) for _ in range(8)]
@@ -790,16 +797,16 @@ def test_analyze_takes_one_smith_form_per_lattice_class(monkeypatch, hirzebruch1
     monkeypatch.setattr(git_stability, "cocircuits", counting_calls(circuits, exactlin.cocircuits))
     for ws in systems:
         git_stability._lattice_classes.cache_clear()
-        git_stability.weight_cocircuits.cache_clear()
+        clear_system_memos()
         smiths.clear()
         circuits.clear()
         out = cmd_analyze(RunConfig(), analyze_json(ws))
         supports = [S for rec in out["kahler_strata"] for S in rec["supports"]]
         supports += [[*c.support_x, *c.support_z] for c in out["hk_candidates"]]
         assert len(smiths) == len({weight_classes(ws, S) for S in supports}), ws
-        assert [args[0] for args in circuits].count(ws.weights) == 1
+        assert [args[0] for args in circuits] == [signed_vectors(ws)], ws
     git_stability._lattice_classes.cache_clear()
-    git_stability.weight_cocircuits.cache_clear()
+    clear_system_memos()
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None,
@@ -857,30 +864,32 @@ def test_analyze_semistable_budget(monkeypatch, hirzebruch1):
         circuits.clear()
         stabs.clear()
         cmd_analyze(RunConfig(), analyze_json(ws))
-        # cmd_analyze adds exactly one pass, of the weights, shared by
-        # compactness and hol-consistency
-        assert len(circuits) == (1 if any(ws.theta) else 0) + 1
-        assert [args[0] for args in circuits].count(ws.weights) == 1
+        # cmd_analyze makes exactly one pass, of (the weights, theta), theta
+        # = 0 included: the cells, compactness and hol-consistency share it
+        assert [args[0] for args in circuits] == [signed_vectors(ws)], ws
         assert git_stability._cells.cache_info().misses == 1
         # the strata behind `smooth` and `kahler_strata` are computed once
         supports = [frozenset(args[1]) for args in stabs]
         assert sorted(supports, key=sorted) == semistable_supports(ws)
-        # quotient_compact is one cocircuit pass, of the weights
-        git_stability.weight_cocircuits.cache_clear()
+        # quotient_compact on a cold memo is the same one pass
+        clear_system_memos()
         circuits.clear()
         quotient_compact(ws)
-        assert [args[0] for args in circuits] == [ws.weights]
-        # one support takes one pass of (beta_S, theta), none when theta = 0
+        assert [args[0] for args in circuits] == [signed_vectors(ws)]
+        # a support reads the memoized list, and needs none when theta = 0
         circuits.clear()
+        semistable_support(ws, range(ws.n))
+        assert circuits == []
+        clear_system_memos()
         semistable_support(ws, range(ws.n))
         assert len(circuits) == (1 if any(ws.theta) else 0)
     for ws in systems[:3]:
-        # the candidates read the cell table and one pass of the weights
+        # the candidates read the cell table's own cocircuit pass
+        clear_system_memos()
         semistable_supports(ws)
-        git_stability.weight_cocircuits.cache_clear()
         circuits.clear()
         hk_candidate_strata(ws)
-        assert [args[0] for args in circuits] == [ws.weights]
+        assert circuits == []
     clear_system_memos()
 
 

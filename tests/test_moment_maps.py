@@ -140,6 +140,18 @@ def test_j_mu_weight_zero_criterion(hirzebruch1):
     assert j_mu_weight(hirzebruch1, generic, (0, 0)) == 0
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e-6, 1e-12])
+def test_j_mu_weight_zero_test_is_relative_to_the_point(scale):
+    # the J-zero condition is homogeneous in (x, z): a point and its
+    # rescalings read the same weight, exact zero or off by a relative 1e-6
+    ws = WeightSystem(1, ((1,), (1,)), (F(1, 2),))
+    z = scale * np.array([1 + 2j, 0.5 - 1j])
+    x = 1j * np.conj(z)
+    assert j_mu_weight(ws, CotangentPoint.numeric(x, z), (1,)) == 0
+    off = x * np.array([1 + 1e-6, 1])
+    assert j_mu_weight(ws, CotangentPoint.numeric(off, z), (1,)) == math.inf
+
+
 def test_j_mu_weight_codomain_and_flow_oracle():
     rng = np.random.default_rng(13)
     agree = 0

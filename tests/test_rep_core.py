@@ -25,9 +25,14 @@ from hkquot import (
     doubled_weights,
     support,
 )
+from hkquot.git_stability import mu_weight
+from hkquot.kempf_ness import kn_gradient, kn_hessian, kn_value
+from hkquot.moment_maps import flow_value, j_mu_weight
 from hkquot.rep_core import (
     ambient_point_from_json,
     cotangent_point_from_json,
+    exact_cocharacter,
+    float_cocharacter,
     point_to_json,
     weight_system_from_json,
     weight_system_to_json,
@@ -277,3 +282,32 @@ def test_cocharacter_modes():
     f = Cocharacter.numeric_from([0.5, 1.5])
     assert not f.exact
     assert np.allclose(f.as_floats(), [0.5, 1.5])
+
+
+def test_cocharacter_arguments_share_one_coercion(hirzebruch1):
+    # a float ndarray, a Cocharacter and a list give the same arrays, and
+    # every function taking a cocharacter refuses a wrong length alike
+    xi = [Fraction(1, 2), -2]
+    want = np.array([0.5, -2.0])
+    for arg in (want, Cocharacter.exact_from(xi), Cocharacter.numeric_from(want), xi):
+        got = float_cocharacter(hirzebruch1, arg)
+        assert got.dtype == float and got.tolist() == want.tolist()
+    assert float_cocharacter(hirzebruch1, want) is want
+    assert exact_cocharacter(hirzebruch1, Cocharacter.exact_from(xi)) == (Fraction(1, 2), Fraction(-2))
+    v = AmbientPoint.numeric([1.0, 1.0, 1.0, 1.0])
+    p = CotangentPoint.numeric(np.ones(4), np.ones(4))
+    calls = [
+        lambda x: exact_cocharacter(hirzebruch1, x),
+        lambda x: float_cocharacter(hirzebruch1, x),
+        lambda x: mu_weight(hirzebruch1, v, x),
+        lambda x: j_mu_weight(hirzebruch1, p, x),
+        lambda x: flow_value(hirzebruch1, v, x, 1.0),
+        lambda x: act_imaginary(hirzebruch1, x, 1.0, v),
+        lambda x: kn_value(hirzebruch1, v, x),
+        lambda x: kn_gradient(hirzebruch1, v, x),
+        lambda x: kn_hessian(hirzebruch1, v, x),
+    ]
+    for call in calls:
+        for bad in ([1], np.zeros(3), Cocharacter.exact_from([1, 2, 3])):
+            with pytest.raises(DimensionMismatchError, match="cocharacter length != rank"):
+                call(bad)

@@ -240,6 +240,26 @@ def test_suite_passes_for_small_n():
     assert text.strip().endswith("result: PASS")
 
 
+def test_suite_reads_one_cocircuit_list_per_system(monkeypatch):
+    # the cells, the single supports and hol-consistency of a system share
+    # one cocircuit pass; the one-system memo takes a new pass only when the
+    # suite switches between the base and the doubled system
+    calls = []
+    real = git_stability.cocircuits
+
+    def counting(vecs, k):
+        calls.append(len(vecs))
+        return real(vecs, k)
+
+    monkeypatch.setattr(git_stability, "cocircuits", counting)
+    git_stability._cells.cache_clear()
+    git_stability.cocircuit_signs.cache_clear()
+    assert hirzebruch_suite(3)["passed"]
+    assert set(calls) == {4 + 1, 8 + 1} and len(calls) <= 17
+    git_stability._cells.cache_clear()
+    git_stability.cocircuit_signs.cache_clear()
+
+
 def test_suite_respects_parameters():
     report = hirzebruch_suite(2, c0=3, c1=1)
     assert report["c0"] == "3" and report["c1"] == "1"
