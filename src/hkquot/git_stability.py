@@ -161,7 +161,7 @@ def semistable_support(ws: WeightSystem, S: Iterable[int]) -> bool:
     nowhere on S.  theta = 0 is in every cone.  The cost is one pass over
     the whole arrangement per system, memoized.
     """
-    s = sum(1 << checked_index(ws, i) for i in set(S))
+    s = support_mask(ws, S)
     if not any(ws.theta):
         return True
     t = 1 << ws.n
@@ -217,6 +217,15 @@ def checked_index(ws: WeightSystem, i: int) -> int:
     if not 0 <= i < ws.n:
         raise DimensionMismatchError(f"support index {i} out of range")
     return i
+
+
+def support_mask(ws: WeightSystem, S: Iterable[int]) -> int:
+    """The index set S as an n-bit mask, bit i for coordinate i; an index
+    outside range(n) is refused."""
+    n, mask = ws.n, 0
+    for i in S:
+        mask |= 1 << (i if 0 <= i < n else checked_index(ws, i))
+    return mask
 
 
 def classify_support(ws: WeightSystem, S: Iterable[int]) -> StabilityVerdict:
@@ -328,13 +337,15 @@ def _cotangent_cells(ws: WeightSystem) -> Iterator[int]:
     return (nonneg | (full & ~pos) << ws.n for nonneg, pos in _cells(ws))
 
 
-@lru_cache(maxsize=1)
+@lru_cache(maxsize=2)
 def _cells(ws: WeightSystem) -> tuple[tuple[int, int], ...]:
     """The cell table: one pair of index masks ({i : beta^i(xi) >= 0},
     {i : beta^i(xi) > 0}) per sign cell xi of the arrangement inside
     {<theta, xi> < 0}, that is per theta-negative covector of (the
     weights, theta).  It decides both loci of ws and of its cotangent
-    system; the memo holds one system.
+    system; the memo holds two systems, so a caller that alternates
+    between a base system and its doubled system, as `hirzebruch_suite`
+    does, builds each table once.
 
     The closure composes the theta-negative cocircuits with every
     cocircuit Y, X o Y = (Xp | Yp & ~Xn, Xn | Yn & ~Xp), which yields
@@ -360,13 +371,21 @@ def _cells(ws: WeightSystem) -> tuple[tuple[int, int], ...]:
 
 
 def stabilizer(ws: WeightSystem, S: Iterable[int]) -> StabilizerInfo:
-    """Stabilizer shape of a point with support S, via Smith normal form:
-    one per lattice of the rows on S, which weights equal up to sign span
+    """Stabilizer shape of a point with support S, via Smith normal form
+    (`mask_stabilizer` on S's mask)."""
+    return mask_stabilizer(ws, support_mask(ws, S))
+
+
+def mask_stabilizer(ws: WeightSystem, mask: int) -> StabilizerInfo:
+    """`stabilizer` of the support with n-bit mask `mask`: one Smith form
+    per lattice of the rows on it, which weights equal up to sign span
     alike (w and 2w do not), so the memo keys on their classes."""
     bits, rows, memo = _lattice_classes(ws)
     key = 0
-    for i in S:
-        key |= bits[i if 0 <= i < len(bits) else checked_index(ws, i)]
+    while mask:
+        low = mask & -mask
+        key |= bits[low.bit_length() - 1]
+        mask ^= low
     if key not in memo:
         factors = smith_invariant_factors([w for j, w in enumerate(rows) if key >> j & 1])
         memo[key] = StabilizerInfo(ws.rank - len(factors), tuple(d for d in factors if d > 1))
@@ -458,11 +477,12 @@ def quotient_compact(ws: WeightSystem) -> bool:
     return covered & full == full
 
 
-@lru_cache(maxsize=1)
+@lru_cache(maxsize=2)
 def cocircuit_signs(ws: WeightSystem) -> tuple[tuple[int, int], ...]:
     """The cocircuits of (the weights, theta) as sign masks (pos, neg),
     theta scaled to ints at bit n (zero, a loop, when theta = 0), memoized
-    for one system: every exact test of the system reads this list."""
+    for two systems, as `_cells` is: every exact test of a system reads
+    this list."""
     theta = integer_primitive(ws.theta) if any(ws.theta) else [0] * ws.rank
     return tuple(signs for signs, _ in cocircuits(list(ws.weights) + [theta], ws.rank))
 

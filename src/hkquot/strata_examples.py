@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from typing import Optional, Sequence
 
@@ -36,13 +37,14 @@ from .git_stability import (
     UNSTABLE,
     StabilizerInfo,
     check_bound,
-    checked_index,
     classify_point,
     cocircuit_signs,
     cotangent_semistable_masks,
+    mask_stabilizer,
     mu_weight,
     semistable_support,
     stabilizer,
+    support_mask,
     unstable_maximal_supports,
 )
 from .kempf_ness import CONVERGED, solve_hyperkahler
@@ -97,54 +99,90 @@ def hol_consistent(ws: WeightSystem, T) -> bool:
     """Can sum_{i in T} beta^i c_i = 0 hold with every c_i nonzero?
 
     Iff T is a union of circuits of the weight columns, that is, iff their
-    matroid M restricted to T has no coloop.  The cocircuits of M|T are the
-    minimal nonempty sets D cap T, D a cocircuit of M (Oxley, Matroid
-    Theory, ch. 3), so i is a coloop iff some D meets T in {i} alone; the
-    restrictions of `cocircuit_signs`, theta deleted, are unions of such D
-    and include each.  A zero weight is a loop, never a coloop.
+    matroid M restricted to T has no coloop (`coloop_free` on the mask of
+    T and `weight_cocircuits`).  A zero weight is a loop, never a coloop.
     """
-    t = sum(1 << (i if 0 <= i < ws.n else checked_index(ws, i)) for i in set(T))
-    return all(((pos | neg) & t).bit_count() != 1 for pos, neg in cocircuit_signs(ws))
+    return coloop_free(weight_cocircuits(ws), support_mask(ws, T))
+
+
+def weight_cocircuits(ws: WeightSystem) -> list[int]:
+    """The supports of the cocircuits of the weights, as n-bit masks: the
+    inclusion-minimal nonzero restrictions of `cocircuit_signs`, theta
+    deleted (oriented-matroid deletion)."""
+    full = (1 << ws.n) - 1
+    out: list[int] = []
+    for d in sorted({(pos | neg) & full for pos, neg in cocircuit_signs(ws)} - {0}, key=int.bit_count):
+        if all(c & d != c for c in out):
+            out.append(d)
+    return out
+
+
+def coloop_free(circuits: Sequence[int], t: int) -> bool:
+    """True iff no cocircuit support in `circuits` meets the mask t in one
+    index alone: the cocircuits of M|T are the minimal nonempty sets D cap
+    T, D a cocircuit of M (Oxley, Matroid Theory, ch. 3), so i is a coloop
+    of M|T iff some D meets T in {i} alone."""
+    return all((d & t).bit_count() != 1 for d in circuits)
+
+
+@lru_cache(maxsize=STRATA_BOUND + 1)
+def mask_table(n: int) -> tuple[tuple[frozenset, ...], tuple[int, ...], tuple[int, ...]]:
+    """For each n-bit mask m: its index set, as a frozenset shared by every
+    caller; its rank in the lexicographic order of the sorted index tuples;
+    and, at each rank, the mask holding it (the inverse of the rank)."""
+    sets = tuple(frozenset(i for i in range(n) if m >> i & 1) for m in range(1 << n))
+    by_rank = tuple(sorted(range(1 << n), key=lambda m: sorted(sets[m])))
+    rank = [0] * (1 << n)
+    for r, m in enumerate(by_rank):
+        rank[m] = r
+    return sets, tuple(rank), by_rank
 
 
 def hk_candidate_strata(ws: WeightSystem, bound: int = STRATA_BOUND) -> list[HKStratumCandidate]:
     """Support pairs passing the exact necessary conditions, grouped by
-    stabilizer signature in increasing order (trivial, (0, ()), first).
+    stabilizer signature in increasing order (trivial, (0, ()), first),
+    each group in the lexicographic order of (sorted sx, sorted sz).
 
     The doubled supports come as bitmasks from ws's own cell table
     (`cotangent_semistable_masks`), x in the low n bits and z in the
-    high ones.  The doubled rows on U are the rows of ws on sx | sz, some
-    negated or repeated, so they span the same lattice and
-    stabilizer(dws, U) equals stabilizer(ws, sx | sz), which takes one
-    Smith form per lattice.
+    high ones, and stay masks up to the output.  The hol test
+    (`coloop_free`) runs once per distinct T = x & z.  The doubled rows
+    on U are the rows of ws on sx | sz, some negated or repeated, so they
+    span the same lattice and stabilizer(dws, U) equals
+    `mask_stabilizer(ws, W)`, W = x | z, taken once per distinct W, whose
+    list of the group it joins is then found by W alone.  A pair is kept
+    as one int, rank[x] << n | rank[z] (`mask_table`), so sorting a group
+    sorts (sx, sz) lexicographically, and the candidates are built from
+    the table's shared frozensets.
     """
     check_bound(ws.n, bound)
     n = ws.n
     full = (1 << n) - 1
-    members: dict[int, tuple[int, ...]] = {}
-    consistent: dict[int, bool] = {}
-    stabilizers: dict[int, StabilizerInfo] = {}
-
-    def indices(mask: int) -> tuple[int, ...]:
-        if mask not in members:
-            members[mask] = tuple(i for i in range(n) if mask >> i & 1)
-        return members[mask]
-
-    pairs = []
+    sets, rank, by_rank = mask_table(n)
+    circuits = weight_cocircuits(ws)
+    # by mask T, None until tested; by mask W, the list of W's group
+    consistent: list[Optional[bool]] = [None] * (1 << n)
+    keys_by_W: list[Optional[list[int]]] = [None] * (1 << n)
+    groups: dict[StabilizerInfo, list[int]] = {}
     for U in cotangent_semistable_masks(ws):
-        x, z = U & full, U >> n
+        x = U & full
+        z = U >> n
         T = x & z
-        if T not in consistent:
-            consistent[T] = hol_consistent(ws, indices(T))
-        if not consistent[T]:
-            continue
-        W = x | z
-        if W not in stabilizers:
-            stabilizers[W] = stabilizer(ws, indices(W))
-        pairs.append((stabilizers[W], indices(x), indices(z)))
-    pairs.sort(key=lambda p: (p[0].signature, p[1], p[2]))
-    sets = {idx: frozenset(idx) for idx in members.values()}
-    return [HKStratumCandidate(sets[x], sets[z], info) for info, x, z in pairs]
+        ok = consistent[T]
+        if ok is None:
+            ok = consistent[T] = coloop_free(circuits, T)
+        if ok:
+            W = x | z
+            keys = keys_by_W[W]
+            if keys is None:
+                keys = keys_by_W[W] = groups.setdefault(mask_stabilizer(ws, W), [])
+            keys.append(rank[x] << n | rank[z])
+    out = []
+    for info in sorted(groups, key=lambda info: info.signature):
+        keys = groups[info]
+        keys.sort()
+        out += [HKStratumCandidate(sets[by_rank[k >> n]], sets[by_rank[k & full]], info) for k in keys]
+    return out
 
 
 def _sample_on_hol_zero(

@@ -361,7 +361,7 @@ def test_output_is_byte_deterministic(capsys):
             assert code == 0
             runs.append(out)
         assert runs[0] == runs[1]
-    # the one-system memos (the cell table, the cocircuit signs) must not
+    # the two-system memos (the cell table, the cocircuit signs) must not
     # let a different system in between change the first system's output
     hirzebruch2 = json.dumps(
         {"rank": 2, "weights": [[1, 0], [1, 0], [0, 1], [-2, 1]], "theta": ["1/2", "1/2"]}

@@ -45,7 +45,7 @@ from hkquot.git_stability import (
     strata_smoothness,
 )
 from hkquot.rep_core import weight_system_to_json
-from hkquot.strata_examples import hirzebruch_weight_system, hol_consistent
+from hkquot.strata_examples import hirzebruch_weight_system, hol_consistent, weight_cocircuits
 
 import oracles
 from oracles import (
@@ -366,7 +366,7 @@ def test_semistable_paths_use_no_lp(monkeypatch, hirzebruch1):
 
 
 def clear_system_memos() -> None:
-    """Forget the one-system memos of the loci: the cell table and the
+    """Forget the two-system memos of the loci: the cell table and the
     cocircuit signs."""
     git_stability._cells.cache_clear()
     git_stability.cocircuit_signs.cache_clear()
@@ -475,7 +475,7 @@ def test_chamber_walk_witnesses(walk_runs):
 def test_chamber_walk_issues_no_lp(monkeypatch, walk_runs):
     # the closure solves no LP and takes at most one integer kernel per
     # (r - 1)-subset of its m vectors (the lines and theta, of rank r) plus
-    # one for their lineality space; the cell table holds one system, and
+    # one for their lineality space; the cell table holds two systems, and
     # the cotangent families read the base system's table
     calls: list = []
     solves: list = []
@@ -498,7 +498,11 @@ def test_chamber_walk_issues_no_lp(monkeypatch, walk_runs):
     assert closure_solves(sigma1, cotangent_unstable_supports) == 0
     assert closure_solves(sigma1, cotangent_semistable_masks) == 0
     assert closure_solves(sigma8) > 0
-    # the table holds one system: back on Sigma_1 it recomputes
+    # the memos hold two systems: back on Sigma_1 it computes nothing, and
+    # after two other systems it recomputes
+    assert closure_solves(sigma1) == 0
+    assert closure_solves(hirzebruch_weight_system(2)) > 0
+    assert closure_solves(hirzebruch_weight_system(3)) > 0
     assert closure_solves(sigma1) == first
     for run in walk_runs:
         assert run.walk_lps == [], run.ws
@@ -726,7 +730,11 @@ def test_doubled_stabilizer_lattice_identity(ws, data):
 def test_hol_consistency_matches_kernel_cover_oracle(ws):
     # no cocircuit of the weights meets T in one index iff the kernel of the
     # weight columns on T covers T: on every T, with zero weights, opposite
-    # lines, repeated w and 2w and rank-deficient systems among the draws
+    # lines, repeated w and 2w and rank-deficient systems among the draws;
+    # the minimal restrictions of the list with theta are the supports of
+    # the weights' own cocircuits
+    own = {pos | neg for (pos, neg), _ in exactlin.cocircuits(list(ws.weights), ws.rank)}
+    assert sorted(weight_cocircuits(ws)) == sorted(own), ws
     for m in range(1 << ws.n):
         T = {i for i in range(ws.n) if m >> i & 1}
         assert hol_consistent(ws, T) == kernel_cover_hol_consistent(ws, T), (ws, sorted(T))
@@ -734,7 +742,7 @@ def test_hol_consistency_matches_kernel_cover_oracle(ws):
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.too_slow])
-@given(st.one_of(small_systems(nmax=4), st.sampled_from(DEGENERATE)))
+@given(st.one_of(small_systems(nmax=5), st.sampled_from(DEGENERATE)))
 def test_hk_candidates_match_per_pair_oracle(ws):
     # the candidates read off the cell table, the weight cocircuits and one
     # Smith form per lattice are the per-pair filter over all 4^n pairs,
@@ -893,12 +901,17 @@ def test_analyze_semistable_budget(monkeypatch, hirzebruch1):
     clear_system_memos()
 
 
-def test_cell_table_memo_holds_one_system(hirzebruch1):
-    # systems A, B, A: the memo holds one system, so each is a fresh table,
-    # and A's output does not depend on B in between
-    sigma2 = hirzebruch_weight_system(2)
+def test_cell_table_memo_holds_two_systems(hirzebruch1):
+    # systems A, B, A: the memo holds two systems, so A's table is built
+    # once; A, B, C, A builds A's again; and A's output does not depend on
+    # what came in between
+    sigma2, sigma3 = hirzebruch_weight_system(2), hirzebruch_weight_system(3)
     git_stability._cells.cache_clear()
     outs = [cmd_analyze(RunConfig(), analyze_json(ws)) for ws in (hirzebruch1, sigma2, hirzebruch1)]
-    assert git_stability._cells.cache_info().misses == 3
+    assert git_stability._cells.cache_info().misses == 2
     assert outs[0] == outs[2] != outs[1]
+    git_stability._cells.cache_clear()
+    again = [cmd_analyze(RunConfig(), analyze_json(ws)) for ws in (hirzebruch1, sigma2, sigma3, hirzebruch1)]
+    assert git_stability._cells.cache_info().misses == 4
+    assert again[0] == again[3] == outs[0]
     git_stability._cells.cache_clear()

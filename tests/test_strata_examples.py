@@ -72,26 +72,28 @@ def test_hol_consistency_filter(hirzebruch1):
 
 
 def test_hol_consistency_checked_once_per_overlap(monkeypatch):
-    # the filter depends only on T = sx & sz, so it runs at most 2^n times
+    # the filter depends only on T = sx & sz, so the candidate loop runs the
+    # coloop test once per distinct mask T, at most 2^n times
     rng = np.random.default_rng(5)
     weights = tuple(tuple(int(v) for v in row) for row in rng.integers(-3, 4, size=(6, 2)))
     ws = WeightSystem(2, weights, (F(1, 2), F(1)))
-    real = strata_examples.hol_consistent
+    real = strata_examples.coloop_free
     calls = []
 
-    def counting(ws_, T):
-        calls.append(frozenset(T))
-        return real(ws_, T)
+    def counting(circuits, t):
+        calls.append(t)
+        return real(circuits, t)
 
-    monkeypatch.setattr(strata_examples, "hol_consistent", counting)
-    got = hk_candidate_strata(ws)
-    assert len(calls) == len(set(calls)) <= 2**ws.n
+    with monkeypatch.context() as mp:
+        mp.setattr(strata_examples, "coloop_free", counting)
+        got = hk_candidate_strata(ws)
+    assert 0 < len(calls) == len(set(calls)) <= 2**ws.n
     # same candidates as filtering every doubled support on its own
     want = set()
     for U in semistable_supports(doubled_weights(ws)):
         sx = frozenset(i for i in U if i < ws.n)
         sz = frozenset(i - ws.n for i in U if i >= ws.n)
-        if real(ws, sx & sz):
+        if hol_consistent(ws, sx & sz):
             want.add((sx, sz))
     assert {(c.support_x, c.support_z) for c in got} == want
     assert len(got) == len(want) > 0
@@ -106,32 +108,58 @@ def test_hol_consistency_checked_once_per_overlap(monkeypatch):
 
 def test_stabilizer_computed_once_per_ws_support(monkeypatch):
     # stabilizer(dws, U) depends only on the lattice of the rows of U, which
-    # is the lattice of the ws rows on sx | sz: one Smith form per ws-support
+    # is the lattice of the ws rows on sx | sz: the candidate loop asks
+    # mask_stabilizer once per distinct mask W = sx | sz, and takes at most
+    # one Smith form per W
     rng = np.random.default_rng(23)
     systems = [hirzebruch_weight_system(2), hirzebruch_weight_system(3)]
     systems += [random_weight_system(rng, nmax=5) for _ in range(12)]
-    real = git_stability.smith_invariant_factors
-    calls = []
+    real_smith, real_stab = git_stability.smith_invariant_factors, strata_examples.mask_stabilizer
+    smiths, stabs = [], []
 
-    def counting(rows):
-        calls.append(rows)
-        return real(rows)
+    def counting_smith(rows):
+        smiths.append(rows)
+        return real_smith(rows)
 
-    seen_finite = False
+    def counting_stab(ws_, W):
+        stabs.append(W)
+        return real_stab(ws_, W)
+
+    seen_finite, asked = False, 0
     for ws in systems:
         dws = doubled_weights(ws)
         want = {U: stabilizer(dws, U) for U in semistable_supports(dws)}
-        calls.clear()
+        git_stability._lattice_classes.cache_clear()
+        smiths.clear()
+        stabs.clear()
         with monkeypatch.context() as mp:
-            mp.setattr(git_stability, "smith_invariant_factors", counting)
+            mp.setattr(git_stability, "smith_invariant_factors", counting_smith)
+            mp.setattr(strata_examples, "mask_stabilizer", counting_stab)
             got = hk_candidate_strata(ws)
-        assert len(calls) <= len({c.support_x | c.support_z for c in got}) <= 2**ws.n
+        supports = {c.support_x | c.support_z for c in got}
+        assert len(stabs) == len(set(stabs)) == len(supports) <= 2**ws.n
+        assert len(smiths) <= len(supports)
+        asked += len(stabs)
         for c in got:
             U = frozenset(c.support_x) | {ws.n + i for i in c.support_z}
             assert c.stabilizer == want[U]
             seen_finite |= bool(c.stabilizer.finite_invariants)
-    assert seen_finite
+    assert seen_finite and asked
     git_stability._lattice_classes.cache_clear()
+
+
+def test_mask_table_ranks_masks_as_sorted_indices():
+    # rank orders the n-bit masks exactly as sorted index tuples sort, the
+    # inverse table inverts it, and each mask's set is its index set
+    for n in range(9):
+        sets, rank, by_rank = strata_examples.mask_table(n)
+        indices = [tuple(i for i in range(n) if m >> i & 1) for m in range(1 << n)]
+        assert len(sets) == len(rank) == len(by_rank) == 1 << n
+        assert [indices[m] for m in by_rank] == sorted(indices)
+        assert sorted(rank) == list(range(1 << n))
+        assert all(by_rank[rank[m]] == m and rank[by_rank[m]] == m for m in range(1 << n))
+        assert all(sets[m] == frozenset(indices[m]) for m in range(1 << n))
+        assert strata_examples.mask_table(n) is strata_examples.mask_table(n)
 
 
 def test_candidates_single_weight():
@@ -242,8 +270,8 @@ def test_suite_passes_for_small_n():
 
 def test_suite_reads_one_cocircuit_list_per_system(monkeypatch):
     # the cells, the single supports and hol-consistency of a system share
-    # one cocircuit pass; the one-system memo takes a new pass only when the
-    # suite switches between the base and the doubled system
+    # one cocircuit pass, and the two-system memo holds the base and the
+    # doubled system together: one pass each
     calls = []
     real = git_stability.cocircuits
 
@@ -255,7 +283,7 @@ def test_suite_reads_one_cocircuit_list_per_system(monkeypatch):
     git_stability._cells.cache_clear()
     git_stability.cocircuit_signs.cache_clear()
     assert hirzebruch_suite(3)["passed"]
-    assert set(calls) == {4 + 1, 8 + 1} and len(calls) <= 17
+    assert sorted(calls) == [4 + 1, 8 + 1]
     git_stability._cells.cache_clear()
     git_stability.cocircuit_signs.cache_clear()
 
