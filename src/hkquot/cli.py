@@ -57,7 +57,6 @@ from .rep_core import (
 )
 from .scalars import parse_rational
 from .strata_examples import (
-    STRATA_BOUND,
     HKStratumCandidate,
     hirzebruch_suite,
     hk_candidate_strata,
@@ -424,11 +423,11 @@ def _write_matrix(m: np.ndarray, nl: str, write) -> None:
     write(nl + "]" if rows else "[]")
 
 
-@lru_cache(maxsize=1 << (STRATA_BOUND + 2))
+@lru_cache(maxsize=1 << 14)
 def _field_json(field, nl: str) -> str:
     """The JSON text of an HK candidate's support, stabilizer or status at
     `nl`, made once for each distinct value (the cache has room for all of
-    a system's supports and stabilizers)."""
+    the supports and stabilizers of a system with n <= 12)."""
     if isinstance(field, frozenset):
         field = sorted(field)
     elif isinstance(field, StabilizerInfo):

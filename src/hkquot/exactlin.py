@@ -4,9 +4,10 @@ normal form.
 Nothing here uses floating point, so the stability certificates and
 stabilizer invariants built on top are exact.  One fraction-free
 Gauss-Jordan elimination over the integers (`_eliminate`) is behind
-`matrix_rank` and `integer_kernel_basis` (and its rational view
-`kernel_basis`); a rational row is first scaled by the lcm of its
-denominators (`_integer_row`).  `cocircuits` reads the
+`matrix_rank` and `integer_kernel_basis`; a rational row is first scaled
+by the lcm of its denominators (`_integer_row`).  Its rational view
+`kernel_basis` is called by no module of this package: it is kept for
+`bench/build_data.py` and the tests.  `cocircuits` reads the
 cocircuits of an integer vector configuration off one-dimensional integer
 kernels, as bitmask pairs, so `Fraction` appears only in the results
 `kernel_basis` hands back and in the simplex tableau, and the Smith form

@@ -344,8 +344,8 @@ def _cells(ws: WeightSystem) -> tuple[tuple[int, int], ...]:
     {<theta, xi> < 0}, that is per theta-negative covector of (the
     weights, theta).  It decides both loci of ws and of its cotangent
     system; the memo holds two systems, so a caller that alternates
-    between a base system and its doubled system, as `hirzebruch_suite`
-    does, builds each table once.
+    between two, such as a base system and its doubled system queried as
+    a system of its own, builds each table once.
 
     The closure composes the theta-negative cocircuits with every
     cocircuit Y, X o Y = (Xp | Yp & ~Xn, Xn | Yn & ~Xp), which yields
@@ -481,8 +481,8 @@ def quotient_compact(ws: WeightSystem) -> bool:
 def cocircuit_signs(ws: WeightSystem) -> tuple[tuple[int, int], ...]:
     """The cocircuits of (the weights, theta) as sign masks (pos, neg),
     theta scaled to ints at bit n (zero, a loop, when theta = 0), memoized
-    for two systems, as `_cells` is: every exact test of a system reads
-    this list."""
+    for two systems, as `_cells` is, for a caller that alternates between
+    two: every exact test of a system reads this list."""
     theta = integer_primitive(ws.theta) if any(ws.theta) else [0] * ws.rank
     return tuple(signs for signs, _ in cocircuits(list(ws.weights) + [theta], ws.rank))
 

@@ -44,6 +44,7 @@ from .rep_core import (
     act_imaginary,
     doubled_weights,
     float_cocharacter,
+    flow_factors,
     point_to_json,
     support,
 )
@@ -84,8 +85,9 @@ def kn_value(ws: WeightSystem, v: AmbientPoint, xi) -> float:
     _, beta, theta = ws.numeric_view
     xi_arr = float_cocharacter(ws, xi)
     lam = beta @ xi_arr
-    mods = np.abs(v.to_numeric().coords) ** 2
-    quad = 0.25 * float(np.dot(mods, np.exp(-2.0 * lam)))
+    coords = v.to_numeric().coords
+    mods = np.abs(coords) ** 2
+    quad = 0.25 * float(np.dot(mods, flow_factors(-2.0 * lam, coords)))
     val = quad + float(theta @ xi_arr)
     return val if math.isfinite(val) else math.inf
 
@@ -102,7 +104,7 @@ def kn_gradient(ws: WeightSystem, v: AmbientPoint, xi) -> np.ndarray:
     coords = v.to_numeric().coords
     if len(coords) != ws.n:
         raise DimensionMismatchError("point length != weight count")
-    flowed = coords * np.exp(-(beta @ xi_arr))
+    flowed = coords * flow_factors(-(beta @ xi_arr), coords)
     return theta - 0.5 * (beta.T @ np.abs(flowed) ** 2)
 
 
@@ -110,8 +112,8 @@ def kn_hessian(ws: WeightSystem, v: AmbientPoint, xi) -> np.ndarray:
     """Hess KN(xi) = sum_i |v_i|^2 e^{-2 beta^i(xi)} beta^i beta^i^T (PSD)."""
     _, beta, _ = ws.numeric_view
     lam = beta @ float_cocharacter(ws, xi)
-    mods = np.abs(v.to_numeric().coords) ** 2
-    w = mods * np.exp(-2.0 * lam)
+    coords = v.to_numeric().coords
+    w = np.abs(coords) ** 2 * flow_factors(-2.0 * lam, coords)
     return (beta.T * w) @ beta
 
 

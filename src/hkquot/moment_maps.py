@@ -26,6 +26,7 @@ from .rep_core import (
     AmbientPoint,
     CotangentPoint,
     WeightSystem,
+    doubled_weights,
     exact_abs2,
     exact_cocharacter,
     float_cocharacter,
@@ -117,18 +118,11 @@ def mu_hyperkahler(ws: WeightSystem, p: CotangentPoint) -> MomentValue:
         raise DimensionMismatchError("point length != weight count")
     hol = hol_moment(ws, p)
     if p.is_exact and all(isinstance(c, QC) for c in tuple(p.x) + tuple(p.z)):
-        mods_x = [c.abs2() for c in p.x]
-        mods_z = [c.abs2() for c in p.z]
-        mu_i = []
-        for a in range(ws.rank):
-            s = sum(
-                (Fraction(ws.weights[i][a]) * (mods_x[i] - mods_z[i]) for i in range(ws.n)),
-                Fraction(0),
-            )
-            mu_i.append(ws.theta[a] - s / 2)
-        re_m = [v.re for v in hol.value]
-        im_m = [v.im for v in hol.value]
-        return MomentValue(HYPERKAHLER, tuple(mu_i + re_m + im_m))
+        # the doubled weights carry -beta on the fiber, so their mu is mu_I
+        mu_i = mu(doubled_weights(ws), p.as_doubled_ambient()).value
+        re_m = tuple(v.re for v in hol.value)
+        im_m = tuple(v.im for v in hol.value)
+        return MomentValue(HYPERKAHLER, mu_i + re_m + im_m)
     q = p.to_numeric()
     mods = np.abs(q.x) ** 2 - np.abs(q.z) ** 2
     mu_i = ws.numeric_view[2] - 0.5 * (ws.numeric_view[1].T @ mods)

@@ -332,19 +332,27 @@ def doubled_weights(ws: WeightSystem) -> WeightSystem:
     return WeightSystem(rank=ws.rank, weights=ws.weights + negs, theta=ws.theta)
 
 
+def flow_factors(exponent: np.ndarray, coords: np.ndarray) -> np.ndarray:
+    """np.exp(exponent), 0 where coords is 0: a zero coordinate stays 0,
+    not 0 * inf = nan, where its factor overflows."""
+    factors = np.exp(exponent)
+    factors[coords == 0] = 0.0
+    return factors
+
+
 def act_imaginary(ws: WeightSystem, xi: Cocharacter | Sequence, t: float, p):
     """Flow by exp(sqrt(-1) t xi): coordinate i scales by e^{-beta^i(xi) t}.
 
     On cotangent points the fiber coordinate z_i scales by e^{+beta^i(xi) t}.
-    Numeric output.
+    Numeric output; a zero coordinate stays 0 (`flow_factors`).
     """
     lam = ws.numeric_view[0] @ float_cocharacter(ws, xi)
     if p.n != ws.n:
         raise DimensionMismatchError("point length != weight count")
     q = p.to_numeric()
     if isinstance(p, CotangentPoint):
-        return CotangentPoint.numeric(q.x * np.exp(-lam * t), q.z * np.exp(lam * t))
-    return AmbientPoint(q.coords * np.exp(-lam * t))
+        return CotangentPoint.numeric(q.x * flow_factors(-lam * t, q.x), q.z * flow_factors(lam * t, q.z))
+    return AmbientPoint(q.coords * flow_factors(-lam * t, q.coords))
 
 
 def act_by_scale(ws: WeightSystem, xi: Sequence[int], r: Fraction, p):

@@ -31,8 +31,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import PreconditionError, UndecidedError
-from .exactlin import kernel_basis
+from .exactlin import integer_kernel_basis
 from .git_stability import (
+    DEFAULT_BOUND,
     STABLE,
     UNSTABLE,
     StabilizerInfo,
@@ -40,6 +41,7 @@ from .git_stability import (
     classify_point,
     cocircuit_signs,
     cotangent_semistable_masks,
+    cotangent_unstable_supports,
     mask_stabilizer,
     mu_weight,
     semistable_support,
@@ -54,7 +56,6 @@ from .rep_core import (
     CotangentPoint,
     WeightSystem,
     act_torus,
-    doubled_weights,
     point_to_json,
     support,
 )
@@ -63,8 +64,6 @@ from .scalars import PC_ONE, PC_ZERO, PhasedComplex, format_rational
 CERTIFIED = "certified"
 CANDIDATE = "candidate"
 
-#: enumeration cap on n for candidate strata (4^n support pairs)
-STRATA_BOUND = 12
 #: seeds tried per stratum before giving up
 CERTIFY_ATTEMPTS = 64
 
@@ -89,10 +88,6 @@ class HKStratumCandidate:
             "witness_residual": self.witness_residual,
             "log": list(self.log),
         }
-
-
-def _doubled_support(n: int, sx, sz) -> set[int]:
-    return set(sx) | {n + i for i in sz}
 
 
 def hol_consistent(ws: WeightSystem, T) -> bool:
@@ -125,7 +120,7 @@ def coloop_free(circuits: Sequence[int], t: int) -> bool:
     return all((d & t).bit_count() != 1 for d in circuits)
 
 
-@lru_cache(maxsize=STRATA_BOUND + 1)
+@lru_cache(maxsize=13)  # n = 0..12
 def mask_table(n: int) -> tuple[tuple[frozenset, ...], tuple[int, ...], tuple[int, ...]]:
     """For each n-bit mask m: its index set, as a frozenset shared by every
     caller; its rank in the lexicographic order of the sorted index tuples;
@@ -138,7 +133,7 @@ def mask_table(n: int) -> tuple[tuple[frozenset, ...], tuple[int, ...], tuple[in
     return sets, tuple(rank), by_rank
 
 
-def hk_candidate_strata(ws: WeightSystem, bound: int = STRATA_BOUND) -> list[HKStratumCandidate]:
+def hk_candidate_strata(ws: WeightSystem, bound: int = DEFAULT_BOUND) -> list[HKStratumCandidate]:
     """Support pairs passing the exact necessary conditions, grouped by
     stabilizer signature in increasing order (trivial, (0, ()), first),
     each group in the lexicographic order of (sorted sx, sorted sz).
@@ -148,14 +143,15 @@ def hk_candidate_strata(ws: WeightSystem, bound: int = STRATA_BOUND) -> list[HKS
     high ones, and stay masks up to the output.  The hol test
     (`coloop_free`) runs once per distinct T = x & z.  The doubled rows
     on U are the rows of ws on sx | sz, some negated or repeated, so they
-    span the same lattice and stabilizer(dws, U) equals
+    span the same lattice and U's stabilizer in the doubled system equals
     `mask_stabilizer(ws, W)`, W = x | z, taken once per distinct W, whose
     list of the group it joins is then found by W alone.  A pair is kept
     as one int, rank[x] << n | rank[z] (`mask_table`), so sorting a group
     sorts (sx, sz) lexicographically, and the candidates are built from
-    the table's shared frozensets.
+    the table's shared frozensets.  The work is a mark per 2n-bit mask,
+    so the bound is on those 2n bits, as in `cotangent_unstable_supports`.
     """
-    check_bound(ws.n, bound)
+    check_bound(2 * ws.n, bound)
     n = ws.n
     full = (1 << n) - 1
     sets, rank, by_rank = mask_table(n)
@@ -191,17 +187,19 @@ def _sample_on_hol_zero(
     """A random numeric point with supports (sx, sz) and hol moment ~ 0.
 
     The products x_i z_i on T = sx cap sz are drawn from the kernel of the
-    weight columns; a generic combination is nonzero throughout T.
-    """
+    weight columns; a generic combination is nonzero throughout T.  Each
+    integer kernel vector is scaled to 1 in its last nonzero entry by int /
+    int, which rounds once, as float(Fraction(v, lead)) does."""
     T = sorted(set(sx) & set(sz))
     n = ws.n
     prods = np.zeros(n, dtype=complex)
     if T:
         rows = [[ws.weights[i][a] for i in T] for a in range(ws.rank)]
-        kern = kernel_basis(rows, len(T))
+        kern = integer_kernel_basis(rows, len(T))
         if not kern:
             return None
-        basis = np.array([[float(c) for c in vec] for vec in kern])
+        leads = [next(v for v in reversed(w) if v) for w in kern]
+        basis = np.array([[v / lead for v in w] for w, lead in zip(kern, leads)])
         for _ in range(16):
             coef = rng.standard_normal(len(kern)) + 1j * rng.standard_normal(len(kern))
             combo = coef @ basis
@@ -226,12 +224,7 @@ def _sample_on_hol_zero(
     return CotangentPoint.numeric(x, z)
 
 
-def certify_stratum(
-    ws: WeightSystem,
-    candidate: HKStratumCandidate,
-    seed: int = 0,
-    attempts: int = CERTIFY_ATTEMPTS,
-) -> HKStratumCandidate:
+def certify_stratum(ws: WeightSystem, candidate: HKStratumCandidate, seed: int = 0) -> HKStratumCandidate:
     """Try to attach a moment-zero witness with the candidate's supports.
 
     Seeds random points on the hol-moment zero locus and runs the solver;
@@ -242,7 +235,7 @@ def certify_stratum(
     rng = np.random.default_rng(seed)
     sx, sz = candidate.support_x, candidate.support_z
     log: list[str] = []
-    for _ in range(attempts):
+    for _ in range(CERTIFY_ATTEMPTS):
         p = _sample_on_hol_zero(rng, ws, sx, sz)
         if p is None:
             log.append("no all-nonzero kernel combination found")
@@ -352,11 +345,11 @@ def hirzebruch_suite(n: int, c0=1, c1=1, seed: int = 0) -> dict:
     cut by the hol-moment zero condition; (f) the slice stabilizer is
     cyclic of order exactly n; (g) slice points (z) and (lambda z) lie on
     one orbit iff lambda^n = 1, by exact group element and by invariants;
-    (h) the slice strata carry solver witnesses.
+    (h) the slice strata carry solver witnesses.  Each reads ws alone, a
+    doubled support's stabilizer as that of sx | sz (`hk_candidate_strata`).
     """
     ws = hirzebruch_weight_system(n, c0, c1)
     n = int(n)
-    dws = doubled_weights(ws)
     rng = np.random.default_rng(seed)
     assertions = []
 
@@ -365,7 +358,7 @@ def hirzebruch_suite(n: int, c0=1, c1=1, seed: int = 0) -> dict:
     assertions.append(_assertion("a-base-table", actual_a == expected_a, expected_a, actual_a))
 
     expected_b = _canon_family(TABLE_COTANGENT)
-    actual_b = _canon_family(unstable_maximal_supports(dws))
+    actual_b = _canon_family(cotangent_unstable_supports(ws))
     assertions.append(
         _assertion("b-cotangent-table", actual_b == expected_b, expected_b, actual_b)
     )
@@ -390,12 +383,13 @@ def hirzebruch_suite(n: int, c0=1, c1=1, seed: int = 0) -> dict:
     assertions.append(_assertion("c-stable-locus", not mismatches_c, [], mismatches_c))
 
     subsets = [frozenset(s) for r in range(5) for s in combinations(range(4), r)]
+    semistable = set(cotangent_semistable_masks(ws))
     e_pairs = []
     mismatches_d = []
     for sx in subsets:
         base_unstable = not semistable_support(ws, sx)
         for sz in subsets:
-            in_e = base_unstable and semistable_support(dws, _doubled_support(4, sx, sz))
+            in_e = base_unstable and support_mask(ws, sx) | support_mask(ws, sz) << 4 in semistable
             pattern = sx <= {2, 3} and 2 in sx and 3 in sz
             if in_e != pattern:
                 mismatches_d.append([sorted(sx), sorted(sz)])
@@ -409,7 +403,7 @@ def hirzebruch_suite(n: int, c0=1, c1=1, seed: int = 0) -> dict:
     actual_e = _canon_pairs([p for p in e_pairs if hol_consistent(ws, p[0] & p[1])])
     assertions.append(_assertion("e-hol-zero-cut", actual_e == expected_e, expected_e, actual_e))
 
-    stab = stabilizer(dws, {2, 7})
+    stab = stabilizer(ws, {2, 3})
     actual_f = {"subtorus_rank": stab.subtorus_rank, "order": stab.order}
     passed_f = stab.subtorus_rank == 0 and stab.order == n
     assertions.append(
@@ -445,11 +439,7 @@ def hirzebruch_suite(n: int, c0=1, c1=1, seed: int = 0) -> dict:
 
     slice_strata = []
     for sx, sz in [({2}, {0, 1, 3}), ({2}, {3})]:
-        cand = HKStratumCandidate(
-            support_x=frozenset(sx),
-            support_z=frozenset(sz),
-            stabilizer=stabilizer(dws, _doubled_support(4, sx, sz)),
-        )
+        cand = HKStratumCandidate(frozenset(sx), frozenset(sz), stabilizer(ws, sx | sz))
         done = certify_stratum(ws, cand, seed=seed)
         slice_strata.append(
             {

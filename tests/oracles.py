@@ -16,6 +16,7 @@ import numpy as np
 from hkquot import (
     AmbientPoint,
     Cocharacter,
+    CotangentPoint,
     WeightSystem,
     act_imaginary,
     doubled_weights,
@@ -24,7 +25,7 @@ from hkquot import (
     semistable_supports,
     stabilizer,
 )
-from hkquot.exactlin import cocircuits, integer_primitive, lp_maximize
+from hkquot.exactlin import cocircuits, integer_primitive, kernel_basis, lp_maximize
 from hkquot.strata_examples import HKStratumCandidate
 
 BOX = 10
@@ -175,6 +176,43 @@ def brute_hk_candidates(ws: WeightSystem) -> list[HKStratumCandidate]:
         not c.stabilizer.is_trivial, c.stabilizer.signature, sorted(c.support_x), sorted(c.support_z)
     ))
     return found
+
+
+def rational_sample_on_hol_zero(rng, ws: WeightSystem, sx, sz) -> Optional[CotangentPoint]:
+    """A random numeric point with supports (sx, sz) and hol moment ~ 0,
+    its products x_i z_i on T = sx & sz drawn from the rational kernel of
+    the weight columns on T, each entry rounded from its Fraction."""
+    T = sorted(set(sx) & set(sz))
+    n = ws.n
+    prods = np.zeros(n, dtype=complex)
+    if T:
+        rows = [[ws.weights[i][a] for i in T] for a in range(ws.rank)]
+        kern = kernel_basis(rows, len(T))
+        if not kern:
+            return None
+        basis = np.array([[float(c) for c in vec] for vec in kern])
+        for _ in range(16):
+            coef = rng.standard_normal(len(kern)) + 1j * rng.standard_normal(len(kern))
+            combo = coef @ basis
+            if np.min(np.abs(combo)) > 1e-3:
+                break
+        else:
+            return None
+        for j, i in enumerate(T):
+            prods[i] = combo[j]
+
+    def draw() -> complex:
+        r = rng.uniform(0.5, 1.5)
+        ph = rng.uniform(0.0, 2.0 * math.pi)
+        return r * complex(math.cos(ph), math.sin(ph))
+
+    x = np.zeros(n, dtype=complex)
+    z = np.zeros(n, dtype=complex)
+    for i in sx:
+        x[i] = draw()
+    for i in sz:
+        z[i] = prods[i] / x[i] if i in set(T) else draw()
+    return CotangentPoint.numeric(x, z)
 
 
 def loop_quotient_smooth(ws: WeightSystem) -> tuple[bool, Optional[frozenset]]:
@@ -428,8 +466,9 @@ def kn_value_oracle(ws: WeightSystem, v: AmbientPoint, xi) -> float:
     xi_arr = _xi_floats(xi)
     lam = ws.beta_array().astype(float) @ xi_arr
     mods = np.array(v.to_numeric().moduli_squared(), dtype=float)
-    with np.errstate(over="ignore"):
-        quad = 0.25 * float(np.dot(mods, np.exp(-2.0 * lam)))
+    with np.errstate(over="ignore"):  # a zero coordinate's factor is 0
+        factor = np.where(v.to_numeric().coords != 0, np.exp(-2.0 * lam), 0.0)
+        quad = 0.25 * float(np.dot(mods, factor))
     val = quad + float(ws.theta_array() @ xi_arr)
     return val if math.isfinite(val) else math.inf
 
@@ -445,8 +484,8 @@ def kn_hessian_oracle(ws: WeightSystem, v: AmbientPoint, xi) -> np.ndarray:
     beta = ws.beta_array().astype(float)
     lam = beta @ xi_arr
     mods = np.array(v.to_numeric().moduli_squared(), dtype=float)
-    with np.errstate(over="ignore"):
-        w = mods * np.exp(-2.0 * lam)
+    with np.errstate(over="ignore"):  # a zero coordinate's factor is 0
+        w = mods * np.where(v.to_numeric().coords != 0, np.exp(-2.0 * lam), 0.0)
     return (beta.T * w) @ beta
 
 

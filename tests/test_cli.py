@@ -20,10 +20,11 @@ jsonschema = pytest.importorskip("jsonschema")
 
 from hkquot import WeightSystem, cli, exactlin, git_stability
 from hkquot.cli import CliError, RunConfig, _numeric_scalar, cmd_analyze, cmd_hirzebruch, main, render
-from hkquot.rep_core import weight_system_to_json
+from hkquot.rep_core import point_to_json, weight_system_to_json
 from hkquot.scalars import parse_rational
 from hkquot.strata_examples import (
     HKStratumCandidate,
+    _sample_on_hol_zero,
     certify_stratum,
     hirzebruch_weight_system,
     hk_candidate_strata,
@@ -651,6 +652,18 @@ def test_csv_and_table_peak_memory_is_the_json_peak():
         out = subprocess.run(argv, env=_child_env(), capture_output=True, text=True, check=True, timeout=300).stdout
         peak[fmt] = int(out) / 1024  # KiB on Linux
     assert max(peak["csv"], peak["table"]) <= peak["json"] + 30, peak
+
+
+def test_kn_is_quiet_where_a_zero_coordinate_overflows():
+    # the line search flows the zero coordinates far enough that their
+    # factors overflow; they stay 0, so kn exits 0 with nothing on stderr,
+    # warnings made errors
+    ws = WeightSystem(3, ((2, 1, -3), (2, -1, 2), (2, 3, -3), (3, 1, 0)), (Fraction(3, 4), Fraction(0), Fraction(2)))
+    p = _sample_on_hol_zero(np.random.default_rng(0), ws, frozenset({0, 3}), frozenset({1, 2}))
+    argv = [sys.executable, "-W", "error", "-c", MAIN, "--mode", "numeric", "kn", "--hyperkahler",
+            json.dumps(weight_system_to_json(ws)), json.dumps(point_to_json(p))]
+    proc = subprocess.run(argv, env=_child_env(), capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
 
 
 @pytest.mark.parametrize("pairs", ["[1]", "[[1]]", '{"a": [[1], [2]]}', "[[1, 2]]", "[[[1], [2], [3]]]", "[[[1], [2]], 7]"])

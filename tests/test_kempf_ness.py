@@ -137,9 +137,11 @@ def _same_bits(got: np.ndarray, want: np.ndarray) -> bool:
 @settings(max_examples=200, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(kn_inputs())
-# exp(-2 beta(xi)) overflows: the value is +inf, the gradient holds inf and
-# (at the zero coordinate) nan
+# exp(-2 beta(xi)) overflows at the zero coordinate, which contributes 0:
+# the value is -150
 @example((WeightSystem(1, ((3,), (-1,)), (F(1, 2),)), AmbientPoint.numeric([0, 1]), [-300.0]))
+# and at a nonzero one: the value, gradient and Hessian are infinite
+@example((WeightSystem(1, ((3,), (-1,)), (F(1, 2),)), AmbientPoint.numeric([1, 1]), [-300.0]))
 @example((WeightSystem(2, ((1, 0), (0, 1)), (F(0), F(1))), AmbientPoint.numeric([0, 0]), (0, 0)))
 def test_kn_evaluations_match_oracle_bit_for_bit(args):
     # the value, gradient and Hessian read the system's cached arrays and
@@ -202,6 +204,21 @@ def test_line_search_overflow_is_silent(monkeypatch):
     assert math.inf in values
     with pytest.warns(RuntimeWarning, match="overflow"):
         assert kn_value(ws, v, [-2.5e9]) == math.inf
+
+
+def test_zero_coordinate_contributes_zero_under_the_flow():
+    # e^{-2 beta^0(xi)} = e^{1800} overflows (silenced, as the solver
+    # silences it), but x_0 = 0 stays 0 along the flow: no 0 * inf = nan, no
+    # invalid-value warning, and KN(xi) = <theta, xi> + 1/4 e^{-600}
+    ws = WeightSystem(1, ((3,), (-1,)), (F(1, 2),))
+    v = AmbientPoint.numeric([0, 1])
+    with warnings.catch_warnings(), np.errstate(over="ignore"):
+        warnings.simplefilter("error")
+        assert kn_value(ws, v, [-300.0]) == -150.0
+        assert np.all(np.isfinite(kn_gradient(ws, v, [-300.0])))
+        assert np.all(np.isfinite(kn_hessian(ws, v, [-300.0])))
+        flowed = act_imaginary(ws, [-300.0], 1.0, v).coords
+        assert flowed[0] == 0 and np.isfinite(flowed[1])
 
 
 def test_kn_hessian_positive_semidefinite():
