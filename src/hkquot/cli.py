@@ -14,6 +14,7 @@ import argparse
 import io
 import json
 import math
+import operator
 import os
 import sys
 from dataclasses import dataclass
@@ -393,34 +394,62 @@ def _write_json(o, nl: str, write) -> None:
 
 
 def _write_matrix(m: np.ndarray, nl: str, write) -> None:
-    """Write the JSON of m's rows of `_sig12` values from one "%.12g" text
-    per row, no float parsed back; a matrix equal to its transpose bit for
-    bit, as g = H H^T is, formats each mirrored pair once.
+    """Write the JSON of m's rows of `_sig12` values from one "%.12g" pass
+    over the entries it needs, no float parsed back: the upper triangle when
+    m equals its transpose bit for bit, as g = H H^T does, else every entry.
+    The tokens fill a layout template made once per shape and indent
+    (`_matrix_layout`).
 
     A token, ".0" appended to an integer one, is the repr of its `_sig12`
     value: for a normal double the shortest repr of float(D), D a decimal of
     at most 12 digits, has D's digits, since distinct decimals of at most 15
-    digits are distinct doubles (Steele and White 1990; Gay 1990).  Only the
-    layout can differ, and such a row is written from its `_sig12` values:
-    for "e+1" (repr writes exponents 12 to 15 in fixed point), "e-3" (below
-    1e-300 may be a subnormal, with fewer digits) and "n" (nan and inf).
+    digits are distinct doubles (Steele and White 1990; Gay 1990).  D is
+    within half a unit in the 12th digit of x, so an integer D is within
+    0.5e-11 |x| of x: only entries with |x - rint(x)| <= 1e-11 |x| are
+    looked at for a missing ".0".
+    Only the layout can differ, and a matrix whose text shows it is written
+    from its `_sig12` values: for "e+1" (repr writes exponents 12 to 15 in
+    fixed point), "e-3" (below 1e-300 may be a subnormal, with fewer
+    digits) and "n" (nan and inf).
     """
-    inner = nl + "  "
-    sep, fmt = "," + inner + "  ", "%.12g " * m.shape[1]
+    if not m.size:
+        _write_json(m.tolist(), nl, write)
+        return
     mirror = m.shape[0] == m.shape[1] and m.tobytes() == m.T.tobytes()
-    rows, head = [], "[" + inner
-    for i, row in enumerate(m.tolist()):
-        start = i if mirror else 0
-        new = (fmt[6 * start:] % tuple(row[start:])).split()
-        rows.append([r[i] for r in rows[:start]] + [t if "." in t or "e" in t else t + ".0" for t in new])
-        text = sep.join(rows[-1])
-        if not text or "e+1" in text or "e-3" in text or "n" in text:
-            write(head)
-            _write_json([_sig12(x) for x in row], inner, write)
-        else:
-            write(head + "[" + inner + "  " + text + inner + "]")
-        head = "," + inner
-    write(nl + "]" if rows else "[]")
+    template, upper, gather = _matrix_layout(m.shape, nl, mirror)
+    values = m.ravel()[upper] if mirror else m.ravel()
+    text = ("%.12g " * len(values)) % tuple(values.tolist())
+    if "e+1" in text or "e-3" in text or "n" in text:
+        _write_json([[_sig12(x) for x in row] for row in m.tolist()], nl, write)
+        return
+    tokens = text.split()
+    # every value is finite here
+    maybe = np.abs(values - np.rint(values)) <= 1e-11 * np.abs(values)
+    for i in np.flatnonzero(maybe).tolist():
+        if "." not in tokens[i] and "e" not in tokens[i]:
+            tokens[i] += ".0"
+    write(template % gather(tokens))
+
+
+@lru_cache(maxsize=64)
+def _matrix_layout(shape: tuple, nl: str, mirror: bool) -> tuple:
+    """(template, upper, gather) for a matrix of `shape` written at `nl`:
+    the JSON layout with a "%s" per entry, row by row; for a mirrored square
+    matrix, the flat indices of the upper triangle, whose tokens (i, j) and
+    (j, i) share; and the function taking the tokens to the template's
+    argument tuple (a 1 x 1 matrix's one token is its own argument)."""
+    rows, cols = shape
+    inner = nl + "  "
+    row = "[" + inner + "  " + ("," + inner + "  ").join(["%s"] * cols) + inner + "]"
+    template = "[" + inner + ("," + inner).join([row] * rows) + nl + "]"
+    if not mirror:
+        return template, None, tuple
+    iu = np.triu_indices(rows)
+    token = {}
+    for t, (i, j) in enumerate(zip(*iu)):
+        token[i, j] = token[j, i] = t
+    gather = operator.itemgetter(*(token[i, j] for i in range(rows) for j in range(cols)))
+    return template, iu[0] * cols + iu[1], gather
 
 
 @lru_cache(maxsize=1 << 14)

@@ -20,8 +20,10 @@ With B the (n, k) weight matrix, the gradient in closed form is
 the arithmetic of mu(act_imaginary(ws, xi, 1.0, v)).  The value, gradient
 and Hessian read B, its float copy and theta from the arrays each weight
 system builds once (WeightSystem.numeric_view), so a Newton iteration
-builds no point or moment-value objects; the solver still goes through
-these three public functions, one arithmetic path for every caller.
+builds no point or moment-value objects.  The three public functions wrap
+one private core (`_KNPoint`), which the solver shares: it evaluates each
+Newton iterate once, the factors e^{-2 beta(xi)} feeding both the value and
+the Hessian, so every caller has one arithmetic path.
 """
 
 from __future__ import annotations
@@ -80,16 +82,46 @@ class KNOutcome:
         }
 
 
+class _KNPoint:
+    """KN and its derivatives at one point v, the core of `kn_value`,
+    `kn_gradient` and `kn_hessian` and of the Newton solve.
+
+    Built once per point: the coordinates, their moduli squared and the
+    length check.  Per xi, `factors` is e^{-2 beta(xi)}, 0 at a zero
+    coordinate (`flow_factors`); the value and Hessian at xi read that one
+    array.  The gradient flows by e^{-beta(xi)} with the integer weights,
+    the arithmetic of mu(act_imaginary(ws, xi, 1.0, v)).
+    """
+
+    __slots__ = ("beta", "beta_f", "theta", "coords", "mods")
+
+    def __init__(self, ws: WeightSystem, v: AmbientPoint):
+        self.beta, self.beta_f, self.theta = ws.numeric_view
+        self.coords = v.to_numeric().coords
+        if len(self.coords) != ws.n:
+            raise DimensionMismatchError("point length != weight count")
+        self.mods = np.abs(self.coords) ** 2
+
+    def factors(self, xi: np.ndarray) -> np.ndarray:
+        return flow_factors(-2.0 * (self.beta_f @ xi), self.coords)
+
+    def value(self, xi: np.ndarray, factors: np.ndarray) -> float:
+        val = 0.25 * float(np.dot(self.mods, factors)) + float(self.theta @ xi)
+        return val if math.isfinite(val) else math.inf
+
+    def gradient(self, xi: np.ndarray) -> np.ndarray:
+        flowed = self.coords * flow_factors(-(self.beta @ xi), self.coords)
+        return self.theta - 0.5 * (self.beta.T @ np.abs(flowed) ** 2)
+
+    def hessian(self, factors: np.ndarray) -> np.ndarray:
+        return (self.beta_f.T * (self.mods * factors)) @ self.beta_f
+
+
 def kn_value(ws: WeightSystem, v: AmbientPoint, xi) -> float:
     """KN(xi); +inf on float overflow, which numpy warns of unless silenced."""
-    _, beta, theta = ws.numeric_view
     xi_arr = float_cocharacter(ws, xi)
-    lam = beta @ xi_arr
-    coords = v.to_numeric().coords
-    mods = np.abs(coords) ** 2
-    quad = 0.25 * float(np.dot(mods, flow_factors(-2.0 * lam, coords)))
-    val = quad + float(theta @ xi_arr)
-    return val if math.isfinite(val) else math.inf
+    kn = _KNPoint(ws, v)
+    return kn.value(xi_arr, kn.factors(xi_arr))
 
 
 def kn_gradient(ws: WeightSystem, v: AmbientPoint, xi) -> np.ndarray:
@@ -99,22 +131,15 @@ def kn_gradient(ws: WeightSystem, v: AmbientPoint, xi) -> np.ndarray:
     arithmetic of mu(act_imaginary(ws, xi, 1.0, v)) on the system's
     cached arrays, with no point or moment value built.
     """
-    beta, _, theta = ws.numeric_view
     xi_arr = float_cocharacter(ws, xi)
-    coords = v.to_numeric().coords
-    if len(coords) != ws.n:
-        raise DimensionMismatchError("point length != weight count")
-    flowed = coords * flow_factors(-(beta @ xi_arr), coords)
-    return theta - 0.5 * (beta.T @ np.abs(flowed) ** 2)
+    return _KNPoint(ws, v).gradient(xi_arr)
 
 
 def kn_hessian(ws: WeightSystem, v: AmbientPoint, xi) -> np.ndarray:
     """Hess KN(xi) = sum_i |v_i|^2 e^{-2 beta^i(xi)} beta^i beta^i^T (PSD)."""
-    _, beta, _ = ws.numeric_view
-    lam = beta @ float_cocharacter(ws, xi)
-    coords = v.to_numeric().coords
-    w = np.abs(coords) ** 2 * flow_factors(-2.0 * lam, coords)
-    return (beta.T * w) @ beta
+    xi_arr = float_cocharacter(ws, xi)
+    kn = _KNPoint(ws, v)
+    return kn.hessian(kn.factors(xi_arr))
 
 
 @lru_cache(maxsize=256)
@@ -153,40 +178,50 @@ def solve_kahler(
     vnum = v.to_numeric()
     S = support(vnum)
     Q = _rowspace_basis(ws, S)
+    kn = _KNPoint(ws, vnum)
     eta = np.zeros(Q.shape[1])
     damping = DAMPING * np.eye(len(eta))
     xi = Q @ eta
     # a line search trial may overflow e^{-2 beta(xi)}: its value is +inf
     with np.errstate(over="ignore"):
+        # the factors e^{-2 beta(xi)}, value and gradient at the iterate; the
+        # gradient is None until taken there
+        factors = kn.factors(xi)
+        f0 = kn.value(xi, factors)
+        grad_full = None
         for it in range(maxiter):
-            grad_full = kn_gradient(ws, vnum, xi)
+            if grad_full is None:
+                grad_full = kn.gradient(xi)
             gn0 = math.sqrt(grad_full.dot(grad_full))
             if gn0 < tol:
                 rep = act_imaginary(ws, xi, 1.0, vnum)
                 return KNOutcome(CONVERGED, xi_star=xi, representative=rep, residual=gn0, iterations=it)
             grad = Q.T @ grad_full
-            hess = Q.T @ kn_hessian(ws, vnum, xi) @ Q
+            hess = Q.T @ kn.hessian(factors) @ Q
             hess = hess + damping
             step = -np.linalg.solve(hess, grad)
             slope = float(grad @ step)
-            f0 = kn_value(ws, vnum, xi)
+            grad_full = None
             alpha = 1.0
-            while alpha > 2.0**-60:
+            while True:
                 trial = eta + alpha * step
                 xi_trial = Q @ trial
-                ftrial = kn_value(ws, vnum, xi_trial)
-                if ftrial <= f0 + ARMIJO_C * alpha * slope:
+                trial_factors = kn.factors(xi_trial)
+                ftrial = kn.value(xi_trial, trial_factors)
+                # the step is taken anyway once halved 60 times
+                if alpha <= 2.0**-60 or ftrial <= f0 + ARMIJO_C * alpha * slope:
                     break
                 # near the minimum the decrease underflows double precision and
                 # the value test rejects everything; accept on a strict gradient
                 # norm decrease instead (value guarded to within rounding noise)
                 if ftrial <= f0 + 1e-12 * max(1.0, abs(f0)):
-                    g = kn_gradient(ws, vnum, xi_trial)
+                    g = kn.gradient(xi_trial)
                     if math.sqrt(g.dot(g)) < 0.9 * gn0:
+                        grad_full = g
                         break
                 alpha *= 0.5
-            eta = eta + alpha * step
-            xi = Q @ eta
+            # the trial is the next iterate: its evaluations carry over
+            eta, xi, factors, f0 = trial, xi_trial, trial_factors, ftrial
     raise UndecidedError(f"Newton did not reach ||mu|| < {tol} within {maxiter} iterations")
 
 

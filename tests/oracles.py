@@ -17,6 +17,7 @@ from hkquot import (
     AmbientPoint,
     Cocharacter,
     CotangentPoint,
+    UndecidedError,
     WeightSystem,
     act_imaginary,
     doubled_weights,
@@ -26,6 +27,19 @@ from hkquot import (
     stabilizer,
 )
 from hkquot.exactlin import cocircuits, integer_primitive, kernel_basis, lp_maximize
+from hkquot.git_stability import UNSTABLE, classify_point
+from hkquot.kempf_ness import (
+    ARMIJO_C,
+    CONVERGED,
+    DAMPING,
+    DIVERGED,
+    KNOutcome,
+    _rowspace_basis,
+    kn_gradient,
+    kn_hessian,
+    kn_value,
+)
+from hkquot.rep_core import support
 from hkquot.strata_examples import HKStratumCandidate
 
 BOX = 10
@@ -487,6 +501,53 @@ def kn_hessian_oracle(ws: WeightSystem, v: AmbientPoint, xi) -> np.ndarray:
     with np.errstate(over="ignore"):  # a zero coordinate's factor is 0
         w = mods * np.where(v.to_numeric().coords != 0, np.exp(-2.0 * lam), 0.0)
     return (beta.T * w) @ beta
+
+
+def solve_kahler_oracle(ws: WeightSystem, v: AmbientPoint, tol: float = 1e-10, maxiter: int = 200) -> KNOutcome:
+    """The damped Newton solve as first written, on the public functions:
+    each iteration takes the gradient, Hessian and value afresh at its
+    iterate, and the value again at each line search trial."""
+    verdict = classify_point(ws, v)
+    if verdict.status == UNSTABLE:
+        return KNOutcome(DIVERGED, certificate=verdict.certificate)
+    if not verdict.polystable:
+        raise UndecidedError(
+            "strictly semistable orbit does not meet the moment-map zero level; "
+            "no minimizer and no destabilizing certificate exist"
+        )
+    vnum = v.to_numeric()
+    Q = _rowspace_basis(ws, support(vnum))
+    eta = np.zeros(Q.shape[1])
+    damping = DAMPING * np.eye(len(eta))
+    xi = Q @ eta
+    with np.errstate(over="ignore"):
+        for it in range(maxiter):
+            grad_full = kn_gradient(ws, vnum, xi)
+            gn0 = math.sqrt(grad_full.dot(grad_full))
+            if gn0 < tol:
+                rep = act_imaginary(ws, xi, 1.0, vnum)
+                return KNOutcome(CONVERGED, xi_star=xi, representative=rep, residual=gn0, iterations=it)
+            grad = Q.T @ grad_full
+            hess = Q.T @ kn_hessian(ws, vnum, xi) @ Q
+            hess = hess + damping
+            step = -np.linalg.solve(hess, grad)
+            slope = float(grad @ step)
+            f0 = kn_value(ws, vnum, xi)
+            alpha = 1.0
+            while alpha > 2.0**-60:
+                trial = eta + alpha * step
+                xi_trial = Q @ trial
+                ftrial = kn_value(ws, vnum, xi_trial)
+                if ftrial <= f0 + ARMIJO_C * alpha * slope:
+                    break
+                if ftrial <= f0 + 1e-12 * max(1.0, abs(f0)):
+                    g = kn_gradient(ws, vnum, xi_trial)
+                    if math.sqrt(g.dot(g)) < 0.9 * gn0:
+                        break
+                alpha *= 0.5
+            eta = eta + alpha * step
+            xi = Q @ eta
+    raise UndecidedError(f"Newton did not reach ||mu|| < {tol} within {maxiter} iterations")
 
 
 def split_apply_quaternion(op: str, v: np.ndarray) -> np.ndarray:

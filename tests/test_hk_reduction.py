@@ -332,6 +332,44 @@ def test_sig12_row_text_is_json_text(mat):
         assert render(report, fmt) == render(plain, fmt)
 
 
+#: entries whose 12-digit token is an integer: they round to one, or are -0
+ROUND_TO_INTEGER = (0.99999999999995, -0.99999999999996, 123456789011.6, -0.0, 0.0, 1.0, -3.0)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    st.integers(0, 24),
+    st.sampled_from(("symmetric", "square", "1 x d", "d x 1", "0 x d", "d x 0")),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+@example(24, "symmetric", False, 0)
+@example(24, "square", False, 0)
+@example(8, "symmetric", True, 1)
+def test_sig12_matrix_text_at_metric_sizes(d, shape, edges, seed):
+    # the metric writes Gram matrices of up to 24 x 24, g mirrored: the text
+    # of each, at three nesting depths in one payload, is json's text of its
+    # `_sig12` values in every format, also where entries round to an
+    # integer at 12 digits and where the layout differs (GRAM_EDGES)
+    rng = np.random.default_rng(seed)
+    rows, cols = {"symmetric": (d, d), "square": (d, d), "1 x d": (1, d), "d x 1": (d, 1),
+                  "0 x d": (0, d), "d x 0": (d, 0)}[shape]
+    mat = rng.standard_normal((rows, cols)) * 10.0 ** rng.integers(-3, 4, (rows, cols))
+    special = ROUND_TO_INTEGER + GRAM_EDGES if edges else ROUND_TO_INTEGER
+    picked = rng.random(mat.shape) < 0.25
+    mat[picked] = rng.choice(special, size=int(picked.sum()))
+    if shape == "symmetric":
+        mat = np.where(np.triu(np.ones(mat.shape, dtype=bool)), mat, mat.T)
+        assert mat.tobytes() == mat.T.tobytes()
+    mats = {"g": mat, "omega_I": mat[::-1], "omega_J": mat.T.copy()}
+    report = {"gram": mats, "deeper": [{"g": mat}], "g": mat}
+    sig12 = {key: [[hk_reduction._sig12(x) for x in row] for row in m.tolist()] for key, m in mats.items()}
+    plain = {"gram": sig12, "deeper": [{"g": sig12["g"]}], "g": sig12["g"]}
+    assert render(report, "json") == json.dumps(plain, sort_keys=True, indent=2)
+    for fmt in ("table", "csv"):
+        assert render(report, fmt) == render(plain, fmt)
+
+
 def test_quaternion_deviation_matches_three_norms():
     # one batched SVD gives the three spectral norms bit for bit, on
     # arbitrary images as well as on the quaternion images of H

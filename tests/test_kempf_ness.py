@@ -28,7 +28,7 @@ from hkquot import (
     solve_hyperkahler,
     solve_kahler,
 )
-from hkquot import kempf_ness
+from hkquot import kempf_ness, rep_core
 from hkquot.git_stability import STABLE, UNSTABLE
 from hkquot.kempf_ness import (
     CONVERGED,
@@ -45,6 +45,7 @@ from oracles import (
     kn_value_oracle,
     random_ambient,
     random_weight_system,
+    solve_kahler_oracle,
 )
 
 F = Fraction
@@ -154,12 +155,20 @@ def test_kn_evaluations_match_oracle_bit_for_bit(args):
         assert _same_bits(kn_hessian(ws, v, xi), kn_hessian_oracle(ws, v, xi))
 
 
-def test_kn_gradient_dimension_errors(hirzebruch1):
+def test_kn_evaluations_dimension_errors(hirzebruch1):
+    # a cocharacter of the wrong length, or a point of the wrong length,
+    # is refused by the value, gradient and Hessian alike
     v = AmbientPoint.numeric([1, 0, 1, 0])
-    for xi, point in (([0.0], v), ([0.0, 0.0], AmbientPoint.numeric([1, 0, 1]))):
-        for grad in (kn_gradient, kn_gradient_oracle):
+    three = WeightSystem(1, ((1,), (1,), (-1,)), (F(1, 2),))
+    cases = (
+        (hirzebruch1, [0.0], v),
+        (hirzebruch1, [0.0, 0.0], AmbientPoint.numeric([1, 0, 1])),
+        (three, [0.0], AmbientPoint.numeric([1, 1])),
+    )
+    for ws, xi, point in cases:
+        for evaluate in (kn_value, kn_gradient, kn_hessian, kn_gradient_oracle):
             with pytest.raises(DimensionMismatchError):
-                grad(hirzebruch1, point, xi)
+                evaluate(ws, point, xi)
 
 
 def test_numeric_view_is_shared_and_read_only(hirzebruch1):
@@ -187,16 +196,19 @@ def test_rowspace_basis_is_one_read_only_array_per_support(hirzebruch1):
 def test_line_search_overflow_is_silent(monkeypatch):
     # moduli 1e-10 against theta 1/2: the first Newton step is about
     # -2.5e9, where e^{-2 beta(xi)} overflows; the solve halves it without
-    # a warning, while kn_value called alone still warns and returns +inf
+    # a warning, while kn_value called alone still warns and returns +inf.
+    # The solver's values are recorded in the core that it shares with
+    # kn_value.
     ws = WeightSystem(1, ((1,), (-1,)), (Fraction(1, 2),))
     v = AmbientPoint.numeric([1e-5, 1e-5])
     values = []
+    value = kempf_ness._KNPoint.value
 
-    def recorded(*args):
-        values.append(kn_value(*args))
+    def recorded(self, xi, factors):
+        values.append(value(self, xi, factors))
         return values[-1]
 
-    monkeypatch.setattr(kempf_ness, "kn_value", recorded)
+    monkeypatch.setattr(kempf_ness._KNPoint, "value", recorded)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         out = solve_kahler(ws, v)
@@ -204,6 +216,135 @@ def test_line_search_overflow_is_silent(monkeypatch):
     assert math.inf in values
     with pytest.warns(RuntimeWarning, match="overflow"):
         assert kn_value(ws, v, [-2.5e9]) == math.inf
+
+
+#: the overflow case above; a solve whose line search accepts a trial on
+#: its gradient norm (its value test fails near the minimum); and one whose
+#: line searches accept nothing, so each takes its 60th halving: |z_4|^2
+#: underflows to 0 while its factor overflows, the value is nan (silenced
+#: here), and Newton runs out of iterations
+OVERFLOW_SOLVE = (WeightSystem(1, ((1,), (-1,)), (F(1, 2),)), AmbientPoint.numeric([1e-5, 1e-5]))
+GRADIENT_TEST_SOLVE = (WeightSystem(1, ((2,), (1,), (-3,)), (F(1, 2),)), AmbientPoint.numeric([100, 0, 70]))
+NO_ACCEPTED_TRIAL_SOLVE = (
+    WeightSystem(2, ((0, 0), (0, 0), (0, 0), (0, 0), (0, -1)), (F(0), F(1))),
+    CotangentPoint.numeric([0] * 5, [0, 0, 0, 0, 2.92366624e-289j]),
+)
+
+
+def _outcome_bits(solve, ws, p):
+    """Everything a solve returns, as bytes and hex; a solve that raises as
+    its error (the test run turns numpy's warnings into errors)."""
+    try:
+        out = solve(ws, p)
+    except (UndecidedError, RuntimeWarning) as exc:
+        return type(exc).__name__, str(exc)
+    rep = out.representative
+    if isinstance(rep, AmbientPoint):
+        rep = rep.coords.tobytes()
+    elif rep is not None:
+        rep = (rep.x.tobytes(), rep.z.tobytes())
+    return (
+        out.status,
+        None if out.xi_star is None else out.xi_star.tobytes(),
+        rep,
+        None if out.residual is None else out.residual.hex(),
+        out.iterations,
+        None if out.certificate is None else out.certificate.to_json(),
+    )
+
+
+@st.composite
+def solver_inputs(draw):
+    """(ws, p): k <= 3 and n <= 6, an ambient point, or a cotangent point
+    with x_i z_i = 0 for every i (so M(p) = 0), with zero coordinates and
+    moduli scaled by 10^-4 to 10^4."""
+    k = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 6))
+    weights = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * k), min_size=n, max_size=n))
+    theta = draw(st.lists(st.fractions(-2, 2, max_denominator=4), min_size=k, max_size=k))
+    ws = WeightSystem(k, tuple(weights), tuple(theta))
+    part = st.one_of(st.just(0.0), st.floats(-3, 3))
+    scale = 10.0 ** draw(st.integers(-4, 4))
+    coords = [scale * complex(draw(part), draw(part)) for _ in range(2 * n)]
+    if draw(st.booleans()):
+        return ws, AmbientPoint.numeric(coords[:n])
+    x, z = coords[:n], coords[n:]
+    z = [0j if draw(st.booleans()) else c for c in z]
+    x = [0j if c else a for a, c in zip(x, z)]
+    return ws, CotangentPoint.numeric(x, z)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(solver_inputs())
+@example(OVERFLOW_SOLVE)
+@example(GRADIENT_TEST_SOLVE)
+@example(NO_ACCEPTED_TRIAL_SOLVE)
+@example((_scalar_ws(), AmbientPoint.numeric([2.0])))
+def test_solve_matches_the_loop_that_evaluates_every_call(args):
+    # the solve shares each iterate's flow between its value, Hessian and
+    # gradient test, and gets the bits of the loop that calls the public
+    # functions afresh each time: converged, diverged and undecided alike
+    ws, p = args
+    with np.errstate(invalid="ignore"):
+        if isinstance(p, AmbientPoint):
+            assert _outcome_bits(solve_kahler, ws, p) == _outcome_bits(solve_kahler_oracle, ws, p)
+            return
+        got = _outcome_bits(solve_hyperkahler, ws, p)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(kempf_ness, "solve_kahler", solve_kahler_oracle)
+            want = _outcome_bits(solve_hyperkahler, ws, p)
+    assert got == want
+
+
+def test_gradient_test_example_accepts_on_the_gradient(monkeypatch):
+    # GRADIENT_TEST_SOLVE takes a gradient at a line search trial, and the
+    # solve carries it to the next iterate instead of flowing again
+    calls = []
+    gradient = kempf_ness._KNPoint.gradient
+    monkeypatch.setattr(kempf_ness._KNPoint, "gradient", lambda self, xi: calls.append(1) or gradient(self, xi))
+    out = solve_kahler_oracle(*GRADIENT_TEST_SOLVE)
+    assert out.status == CONVERGED and len(calls) > out.iterations + 1
+    oracle_calls = len(calls)
+    del calls[:]
+    solve_kahler(*GRADIENT_TEST_SOLVE)
+    assert len(calls) < oracle_calls
+
+
+def test_solve_flows_twice_per_iteration(monkeypatch):
+    # a Newton iteration flows once for the gradient and once for its
+    # accepted trial, whose factors are the next iterate's value and
+    # Hessian: 2 flow_factors calls per iteration plus 3 (the first
+    # iterate's factors, the last gradient, the representative), and more
+    # only for rejected trials and gradient tests, where the loop that
+    # evaluates every call flows 4 times per iteration plus 2
+    counts = [0]
+    flow_factors = rep_core.flow_factors
+
+    def counted(*args):
+        counts[0] += 1
+        return flow_factors(*args)
+
+    for module in (rep_core, kempf_ness):
+        monkeypatch.setattr(module, "flow_factors", counted)
+    rng = np.random.default_rng(61)
+    clean = 0
+    for _ in range(80):
+        ws = random_weight_system(rng, nmax=5)
+        v = random_ambient(rng, ws.n, zero_prob=0.2)
+        try:
+            counts[0] = 0
+            want = solve_kahler_oracle(ws, v)
+        except UndecidedError:
+            continue
+        if want.status != CONVERGED:
+            continue
+        extra = counts[0] - (4 * want.iterations + 2)
+        counts[0] = 0
+        assert solve_kahler(ws, v).iterations == want.iterations
+        assert counts[0] <= 2 * want.iterations + 3 + extra
+        clean += extra == 0 and want.iterations > 0
+    assert clean >= 10
 
 
 def test_zero_coordinate_contributes_zero_under_the_flow():
